@@ -153,11 +153,12 @@ mod tests {
     use super::*;
 
     // The registry is process-global and other tests in this binary may
-    // also use it, so each test here owns uniquely named sites.
+    // also use it, so each test here owns uniquely named sites and arms
+    // them with `configure` (which resets their counters) instead of
+    // calling `clear_all`, which would race with the other tests.
 
     #[test]
     fn fires_on_nth_hit_for_times_hits() {
-        clear_all();
         configure("test::nth", FaultAction::Singular, 2, 2);
         assert_eq!(check("test::nth"), None);
         assert_eq!(check("test::nth"), Some(InjectedFault::Singular));
@@ -175,7 +176,6 @@ mod tests {
 
     #[test]
     fn delay_fires_in_place_and_reports_no_fault() {
-        clear_all();
         configure(
             "test::delay",
             FaultAction::Delay(Duration::from_millis(1)),

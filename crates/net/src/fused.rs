@@ -234,11 +234,17 @@ pub fn compile_switch_hop(
     compile_hop_import(target, &hop_inputs(model, s, sp), opts, stats)
 }
 
-/// Folds per-switch hop diagrams into the global `sw`-case chain, in
+/// Builds the global `sw`-case chain from per-switch hop diagrams, in
 /// reverse switch order so the chain tests switches in declaration order
 /// (mirroring the legacy `Prog::case`). `hop` supplies each switch's
 /// scratch-free diagram — a fresh compile in the batch pipeline, a cache
 /// lookup in an incremental engine.
+///
+/// Each link is one hash-consed `sw = v` branch over the hop restricted to
+/// `sw = v`: `sw` is the first field under every [`crate::FieldOrder`] and
+/// `sw` values ascend in [`mcnetkat_topo::Topology::switches`] order, so the
+/// chain is already reduced and ordered, and (FDDs being canonical) it is
+/// the very handle an `ite` fold over `sw = v` tests would produce.
 ///
 /// # Errors
 ///
@@ -248,16 +254,11 @@ pub fn assemble_chain(
     model: &NetworkModel,
     mut hop: impl FnMut(NodeId) -> Result<Fdd, CompileError>,
 ) -> Result<Fdd, CompileError> {
+    let sw = model.fields.sw;
     let mut body = mgr.fail();
     for &s in model.topo.switches().iter().rev() {
-        let fdd = hop(s)?;
-        let test = mgr.branch(
-            model.fields.sw,
-            model.topo.sw_value(s),
-            mgr.pass(),
-            mgr.fail(),
-        );
-        body = mgr.ite(test, fdd, body);
+        let v = model.topo.sw_value(s);
+        body = mgr.branch(sw, v, mgr.restrict_eq(hop(s)?, sw, v), body);
     }
     Ok(body)
 }
@@ -309,7 +310,7 @@ pub(crate) fn audit_compiled_model(mgr: &Manager, model: &NetworkModel, fdd: Fdd
 /// given an already-assembled loop-body diagram.
 ///
 /// This is the patch seam of the incremental engine: after a model delta
-/// recompiles only the invalidated switches and re-folds the `sw`-case
+/// recompiles only the invalidated switches and rebuilds the `sw`-case
 /// chain ([`assemble_chain`]), this tail finishes the model. An unchanged
 /// chain body hits the manager's `while`-loop solution cache, so the loop
 /// solve itself is also incremental.
@@ -414,6 +415,49 @@ mod tests {
         let legacy = m.compile_legacy(&mgr).unwrap();
         let fused = m.compile(&mgr).unwrap();
         assert!(mgr.equiv(fused, legacy));
+    }
+
+    /// The `sw`-case chain as an `ite` fold over `sw = v` tests — the
+    /// construction [`assemble_chain`] replaced.
+    fn ite_chain(mgr: &Manager, model: &NetworkModel, hops: &[Fdd]) -> Fdd {
+        let mut body = mgr.fail();
+        for (&s, &fdd) in model.topo.switches().iter().zip(hops).rev() {
+            let v = model.topo.sw_value(s);
+            let test = mgr.branch(model.fields.sw, v, mgr.pass(), mgr.fail());
+            body = mgr.ite(test, fdd, body);
+        }
+        body
+    }
+
+    #[test]
+    fn direct_chain_is_the_ite_fold_handle() {
+        let topo = ab_fattree(4);
+        let pr = Ratio::new(1, 10);
+        let srlg = FailureSpec::independent(pr.clone())
+            .with_groups(Srlg::linecards(&topo, &Ratio::new(1, 50)));
+        let models = [
+            mk(RoutingScheme::Ecmp, FailureModel::independent(pr.clone())),
+            mk(RoutingScheme::F10_3, FailureModel::independent(pr.clone())),
+            mk(RoutingScheme::F10_3, srlg),
+            mk(RoutingScheme::Ecmp, FailureModel::independent(pr.clone())).with_hop_cap(8),
+            mk(RoutingScheme::F10_3, FailureModel::bounded(pr, 1)),
+        ];
+        for m in &models {
+            let mgr = Manager::new();
+            let sp = ShortestPaths::towards(&m.topo, m.dst);
+            let opts = CompileOptions::default();
+            let mut stats = FusedStats::default();
+            let hops: Vec<Fdd> = m
+                .topo
+                .switches()
+                .iter()
+                .map(|&s| compile_switch_hop(&mgr, m, s, &sp, &opts, &mut stats).unwrap())
+                .collect();
+            let switches = m.topo.switches();
+            let hop = |s| Ok(hops[switches.iter().position(|&t| t == s).unwrap()]);
+            let direct = assemble_chain(&mgr, m, hop).unwrap();
+            assert_eq!(direct, ite_chain(&mgr, m, &hops));
+        }
     }
 
     #[test]

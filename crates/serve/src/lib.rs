@@ -8,8 +8,9 @@
 //! crate exploits that: an [`Engine`] owns one long-lived
 //! [`Manager`], caches every per-switch diagram keyed on its full compile
 //! inputs ([`mcnetkat_net::fused::HopInputs`] — switch program, failure-spec
-//! slice, hop cap), and on [`Engine::apply`] recompiles only the switches
-//! whose inputs changed, re-folds the `sw`-case chain, and finishes
+//! slice, hop cap), and on [`Engine::apply`] rebuilds the inputs of only
+//! the switches the delta touches, recompiles those whose inputs changed,
+//! rebuilds the `sw`-case chain from the stored and new hops, and finishes
 //! through the same [`mcnetkat_net::fused::assemble_model`] tail as the
 //! batch pipeline. The manager's `while`-loop solution cache makes the
 //! loop solve incremental too: a chain body the engine has seen before
@@ -84,7 +85,9 @@ use mcnetkat_fdd::{Budget, CompileError, CompileOptions, Fdd, Manager, WhileCach
 use mcnetkat_net::fused::{
     assemble_chain, assemble_model, compile_hop_import, hop_inputs, FusedStats, HopInputs,
 };
-use mcnetkat_net::{FailureSpec, ModelDescription, NetworkModel, Queries, RoutingScheme, Srlg};
+use mcnetkat_net::{
+    FailureSpec, ModelDescription, NetFields, NetworkModel, Queries, RoutingScheme, Srlg,
+};
 use mcnetkat_num::Ratio;
 use mcnetkat_topo::{NodeId, ShortestPaths, Topology};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -232,10 +235,11 @@ impl Delta {
     }
 
     /// The switches this delta may invalidate, as an upper bound computed
-    /// *before* application — the incremental engine's accounting
-    /// invariant is that every switch whose [`HopInputs`] actually change
-    /// lies inside this set ([`DeltaReport::switches_changed`] never
-    /// exceeds its size).
+    /// *before* application. The engine relies on it: [`Engine::apply`]
+    /// rebuilds the [`HopInputs`] of these switches only, and every other
+    /// switch keeps its stored diagram. So every switch whose inputs
+    /// actually change must lie inside this set (the crate's delta-sequence
+    /// proptests check this against a full recomputation).
     pub fn touched(&self, model: &NetworkModel) -> Touched {
         let prone_switches = || {
             Touched::Set(
@@ -409,13 +413,21 @@ impl Delta {
                 dst = *node;
             }
         }
-        // Validate before constructing: `NetworkModel::new` panics on a
-        // bad spec, and a rejected delta must leave the engine untouched.
+        // Validate before constructing: a rejected delta must leave the
+        // engine untouched. The model is then built directly, with the
+        // fields `NetworkModel::new` would derive, because `new` would
+        // validate the spec a second time.
         failure.validate(&topo).map_err(EngineError::InvalidDelta)?;
-        let mut next = NetworkModel::new(topo, dst, scheme, failure);
-        next.scheme_overrides = overrides;
-        next.hop_cap = hop_cap;
-        Ok(next)
+        let fields = NetFields::with_groups(topo.max_degree(), failure.group_count());
+        Ok(NetworkModel {
+            topo,
+            dst,
+            fields,
+            scheme,
+            scheme_overrides: overrides,
+            failure,
+            hop_cap,
+        })
     }
 }
 
@@ -425,12 +437,13 @@ pub struct DeltaReport {
     /// Size of the delta's declared invalidation upper bound
     /// ([`Delta::touched`]; the switch count when `All`).
     pub touched_upper_bound: usize,
-    /// Switches whose [`HopInputs`] actually changed. Invariant:
-    /// `switches_changed <= touched_upper_bound`.
+    /// Switches whose [`HopInputs`] actually changed, counted inside the
+    /// touched set (only touched switches have their inputs rebuilt).
+    /// Invariant: `switches_changed <= touched_upper_bound`.
     pub switches_changed: usize,
-    /// Switches recompiled (per-switch cache misses). At most
-    /// `switches_changed` on a patch; up to the full switch count on a
-    /// structural rebuild (the cache was dropped).
+    /// Switches recompiled (per-switch cache misses; only a changed
+    /// switch is looked up). At most `switches_changed`; after a
+    /// structural delta dropped the cache, every changed switch misses.
     pub switches_recompiled: usize,
     /// Whether the delta was structural (cache dropped, full rebuild).
     pub full_rebuild: bool,
@@ -555,9 +568,11 @@ pub struct EngineStats {
     pub models: usize,
     /// Per-switch diagrams currently cached.
     pub hop_cache_entries: usize,
-    /// Per-switch compiles answered from the cache (cumulative).
+    /// Per-switch cache lookups answered from the cache (cumulative). A
+    /// lookup happens only for a switch a load or delta touches and whose
+    /// inputs differ from the model's stored ones.
     pub hop_cache_hits: u64,
-    /// Per-switch compiles that ran (cumulative).
+    /// Per-switch cache lookups that compiled (cumulative).
     pub hop_cache_misses: u64,
     /// Deltas applied (cumulative).
     pub deltas_applied: u64,
@@ -609,8 +624,12 @@ pub struct EngineStats {
 struct ModelEntry {
     model: NetworkModel,
     fdd: Fdd,
-    inputs: BTreeMap<NodeId, HopInputs>,
+    /// Each switch's compile inputs and the hop diagram they compiled to.
+    hops: SwitchHops,
 }
+
+/// Per-switch `(inputs, hop diagram)` pairs of one model.
+type SwitchHops = BTreeMap<NodeId, (HopInputs, Fdd)>;
 
 /// Configuration for a fresh [`Engine`].
 #[derive(Clone, Debug, Default)]
@@ -642,6 +661,10 @@ pub struct EngineConfig {
     /// [`EngineStats::degraded_answers`]. Unset disables the retry.
     pub degraded_grace: Option<Duration>,
 }
+
+/// How long [`Engine::query_batch`] answers leading point queries on the
+/// calling thread before it spawns helpers.
+const BATCH_INLINE: Duration = Duration::from_micros(50);
 
 /// Cap on retained query-latency samples. Once full, new samples
 /// overwrite the oldest (a ring), so the gauges track a recent window
@@ -708,6 +731,9 @@ pub struct Engine {
     recoveries: u64,
     // Overload tolerance: the admission gate and its gauges.
     max_concurrent_queries: Option<usize>,
+    /// [`Engine::query_batch`]'s worker cap: `max_concurrent_queries`, or
+    /// the machine's parallelism, read once here rather than per batch.
+    batch_workers: usize,
     degraded_grace: Option<Duration>,
     active_queries: AtomicUsize,
     queries_shed: AtomicU64,
@@ -760,6 +786,11 @@ impl Engine {
             journal: None,
             recoveries: 0,
             max_concurrent_queries: config.max_concurrent_queries,
+            batch_workers: config
+                .max_concurrent_queries
+                .or_else(|| std::thread::available_parallelism().ok().map(|n| n.get()))
+                .unwrap_or(1)
+                .max(1),
             degraded_grace: config.degraded_grace,
             active_queries: AtomicUsize::new(0),
             queries_shed: AtomicU64::new(0),
@@ -1034,10 +1065,10 @@ impl Engine {
             id: id.0,
             desc: ModelDescription::of(&model),
         })?;
-        let (fdd, inputs, _) = self.compile_incremental(&model)?;
+        let (fdd, hops, _) = self.compile_incremental(&model, None, &Touched::All)?;
         self.journal_commit(mark)?;
         self.next_id += 1;
-        self.models.insert(id, ModelEntry { model, fdd, inputs });
+        self.models.insert(id, ModelEntry { model, fdd, hops });
         self.enforce_hop_cache_limit();
         Ok(id)
     }
@@ -1050,8 +1081,8 @@ impl Engine {
                 "duplicate model id {id} in recovery stream"
             )));
         }
-        let (fdd, inputs, _) = self.compile_incremental(&model)?;
-        self.models.insert(id, ModelEntry { model, fdd, inputs });
+        let (fdd, hops, _) = self.compile_incremental(&model, None, &Touched::All)?;
+        self.models.insert(id, ModelEntry { model, fdd, hops });
         self.enforce_hop_cache_limit();
         Ok(())
     }
@@ -1082,10 +1113,10 @@ impl Engine {
         let live: HashSet<&HopInputs> = self
             .models
             .values()
-            .flat_map(|e| e.inputs.values())
+            .flat_map(|e| e.hops.values().map(|(inp, _)| inp))
             .collect();
         let mut evicted = 0u64;
-        for inp in entry.inputs.values() {
+        for (inp, _) in entry.hops.values() {
             if !live.contains(inp) && self.hops.remove(inp).is_some() {
                 evicted += 1;
             }
@@ -1121,11 +1152,13 @@ impl Engine {
     }
 
     /// Applies a delta to a loaded model: computes the updated model,
-    /// recompiles only the switches whose [`HopInputs`] changed (all of
-    /// them after a structural delta dropped the cache), re-folds the
-    /// `sw`-case chain, and finishes through the batch pipeline's
-    /// [`assemble_model`] tail — where an already-seen chain body hits
-    /// the `while`-solution cache and skips the loop solve.
+    /// rebuilds the [`HopInputs`] of only the switches the delta touches
+    /// ([`Delta::touched`]; every switch after a structural delta, which
+    /// also drops the cache), recompiles those whose inputs changed and
+    /// miss the cache, rebuilds the `sw`-case chain, and finishes through
+    /// the batch pipeline's [`assemble_model`] tail — where an
+    /// already-seen chain body hits the `while`-solution cache and skips
+    /// the loop solve.
     ///
     /// On error the engine keeps the pre-delta model and diagram.
     ///
@@ -1149,60 +1182,38 @@ impl Engine {
         // Shared structure moved under the cache: a structural delta
         // recompiles against a fresh cache so no stale field/budget
         // coupling survives. The pre-delta cache is kept aside and only
-        // dropped once the compile succeeds — a budget trip restores it
-        // (and the rebuild counter) along with the model.
+        // dropped once the compile succeeds — a budget trip restores it.
+        // Nothing else needs restoring: the patch leaves the model entry
+        // alone until the commit marker is durable.
         let saved_hops = full_rebuild.then(|| std::mem::take(&mut self.hops));
-
         let while_stats_before = self.mgr.while_cache_stats();
-        let old_inputs = std::mem::take(
-            &mut self
-                .models
-                .get_mut(&id)
-                .expect("entry looked up above")
-                .inputs,
-        );
-        let compiled = self.compile_incremental(&next);
-        let restore = |engine: &mut Engine, old_inputs, saved_hops: Option<_>| {
-            engine
-                .models
-                .get_mut(&id)
-                .expect("entry looked up above")
-                .inputs = old_inputs;
-            if let Some(old) = saved_hops {
-                engine.hops = old;
-            }
-        };
-        let (fdd, inputs, recompiled) = match compiled {
+        // Commit marker before the (infallible) in-memory mutation: a
+        // crash on either side of it leaves journal and state agreeing.
+        let patched = self
+            .compile_incremental(&next, Some(id), &touched)
+            .and_then(|patch| self.journal_commit(mark).map(|()| patch));
+        let (fdd, updates, recompiled) = match patched {
             Ok(v) => v,
             Err(e) => {
-                restore(self, old_inputs, saved_hops); // pre-delta state intact
+                if let Some(old) = saved_hops {
+                    self.hops = old;
+                }
                 return Err(e);
             }
         };
-        // Commit marker before the (infallible) in-memory mutation: a
-        // crash on either side of it leaves journal and state agreeing.
-        if let Err(e) = self.journal_commit(mark) {
-            restore(self, old_inputs, saved_hops);
-            return Err(e);
-        }
         if full_rebuild {
             self.full_rebuilds += 1;
         }
-        let changed = inputs
-            .iter()
-            .filter(|(s, inp)| old_inputs.get(s) != Some(inp))
-            .count();
-        debug_assert!(
-            inputs
-                .iter()
-                .filter(|(s, inp)| old_inputs.get(s) != Some(inp))
-                .all(|(s, _)| touched.contains(*s)),
-            "a switch outside the delta's declared touched set changed inputs"
-        );
+        let changed = updates.len();
         let entry = self.models.get_mut(&id).expect("entry looked up above");
+        entry.hops.extend(updates);
+        if full_rebuild {
+            // A topology swap may have dropped switches.
+            let switches = next.topo.switches();
+            entry.hops.retain(|s, _| switches.binary_search(s).is_ok());
+        }
         entry.model = next;
         entry.fdd = fdd;
-        entry.inputs = inputs;
 
         self.deltas_applied += 1;
         self.switches_changed += changed as u64;
@@ -1220,29 +1231,48 @@ impl Engine {
         })
     }
 
-    /// Compiles `model` against the per-switch cache: cache hits reuse
-    /// diagrams, misses compile-and-insert. Returns the assembled
-    /// diagram, the per-switch inputs, and the miss count.
+    /// Compiles `model`, reusing the hops stored for model `prev`: a
+    /// switch outside `touched` keeps its stored diagram, and a touched
+    /// switch whose rebuilt [`HopInputs`] equal the stored ones does too.
+    /// Every other switch goes through the per-switch cache (hits reuse a
+    /// diagram, misses compile and insert). Returns the assembled diagram,
+    /// the switches whose inputs changed with their new hops, and the miss
+    /// count. `prev`'s entry is only read; the caller merges the changes.
     fn compile_incremental(
         &mut self,
         model: &NetworkModel,
-    ) -> Result<(Fdd, BTreeMap<NodeId, HopInputs>, usize), EngineError> {
-        let sp = ShortestPaths::towards(&model.topo, model.dst);
-        let mut inputs = BTreeMap::new();
+        prev: Option<ModelId>,
+        touched: &Touched,
+    ) -> Result<(Fdd, SwitchHops, usize), EngineError> {
+        // Borrow fields individually so the closure can mutate the cache
+        // and counters while the manager and the stored hops are read.
+        let Engine {
+            mgr,
+            opts,
+            models,
+            hops,
+            hop_hits,
+            hop_misses,
+            ..
+        } = self;
+        let stored = prev.map(|id| &models[&id].hops);
+        let mut sp = None;
+        let mut updates = SwitchHops::new();
         let mut recompiled = 0usize;
         let mut stats = FusedStats::default();
-        // Borrow pieces individually so the closure can mutate the cache
-        // and counters while the manager is borrowed immutably.
-        let mgr = &self.mgr;
-        let opts = &self.opts;
-        let hops = &mut self.hops;
-        let hop_hits = &mut self.hop_hits;
-        let hop_misses = &mut self.hop_misses;
         let body = assemble_chain(mgr, model, |s| {
+            let old = stored.and_then(|m| m.get(&s));
+            if let Some(&(_, f)) = old.filter(|_| !touched.contains(s)) {
+                return Ok(f);
+            }
             // Per-switch budget checkpoint, mirroring the batch pipeline.
             serve_failpoint("serve::apply::patch")?;
             opts.budget.check_external()?;
-            let inp = hop_inputs(model, s, &sp);
+            let sp = sp.get_or_insert_with(|| ShortestPaths::towards(&model.topo, model.dst));
+            let inp = hop_inputs(model, s, sp);
+            if let Some(&(_, f)) = old.filter(|(o, _)| *o == inp) {
+                return Ok(f);
+            }
             let fdd = match hops.get(&inp) {
                 Some(&f) => {
                     *hop_hits += 1;
@@ -1256,14 +1286,14 @@ impl Engine {
                     f
                 }
             };
-            inputs.insert(s, inp);
+            updates.insert(s, (inp, fdd));
             Ok(fdd)
         })?;
         serve_failpoint("serve::apply::assemble")?;
-        let fdd = assemble_model(&self.mgr, model, body, &self.opts)?;
+        let fdd = assemble_model(mgr, model, body, opts)?;
         #[cfg(feature = "audit")]
         self.audit_patched(model, fdd);
-        Ok((fdd, inputs, recompiled))
+        Ok((fdd, updates, recompiled))
     }
 
     /// The `audit` feature's post-patch verification, mirroring the batch
@@ -1305,38 +1335,52 @@ impl Engine {
     ///
     /// Worker fan-out is capped at
     /// [`EngineConfig::max_concurrent_queries`] (falling back to the
-    /// machine's parallelism), and the requests past the cap *queue* on
-    /// the workers' shared cursor rather than spawning threads — a 10k
-    /// query batch runs on a handful of threads. Under cross-batch
-    /// contention, individual queries can still shed with
-    /// [`EngineError::Overloaded`] (the admission gate is global).
+    /// machine's parallelism), counting the calling thread, which is one
+    /// of the workers. The requests past the cap *queue* on the workers'
+    /// shared cursor rather than spawning threads — a 10k query batch
+    /// runs on a handful of threads. Leading point queries
+    /// ([`Query::DeliveryProb`], [`Query::Reachable`]: one diagram walk
+    /// each) are answered inline for up to 50 µs before any thread is
+    /// spawned, because a spawn and join costs about that much; a batch
+    /// of point queries spawns nothing. Under cross-batch contention,
+    /// individual queries can still shed with [`EngineError::Overloaded`]
+    /// (the admission gate is global).
     pub fn query_batch(&self, reqs: &[QueryRequest]) -> Vec<Result<Answer, EngineError>> {
-        if reqs.is_empty() {
-            return Vec::new();
-        }
-        let hardware = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let workers = reqs
-            .len()
-            .min(self.max_concurrent_queries.unwrap_or(hardware))
-            .max(1);
         let slots: Vec<OnceLock<Result<Answer, EngineError>>> =
             (0..reqs.len()).map(|_| OnceLock::new()).collect();
         let cursor = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(req) = reqs.get(i) else { break };
-                    let result = self.query(req);
-                    slots[i]
-                        .set(result)
-                        .map_err(|_| "slot")
-                        .expect("slot set once");
-                });
-            }
-        });
+        // Answers the next unclaimed request; false once none is left.
+        let answer_next = || {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(req) = reqs.get(i) else {
+                return false;
+            };
+            slots[i]
+                .set(self.query(req))
+                .map_err(|_| "slot")
+                .expect("slot set once");
+            true
+        };
+        let start = Instant::now();
+        let point = |r: &QueryRequest| {
+            matches!(
+                r.query,
+                Query::DeliveryProb { .. } | Query::Reachable { .. }
+            )
+        };
+        let inline = |i: usize| reqs.get(i).is_some_and(point) && start.elapsed() < BATCH_INLINE;
+        while inline(cursor.load(Ordering::Relaxed)) {
+            answer_next();
+        }
+        let left = reqs.len() - cursor.load(Ordering::Relaxed);
+        if left > 0 {
+            std::thread::scope(|scope| {
+                for _ in 1..left.min(self.batch_workers) {
+                    scope.spawn(|| while answer_next() {});
+                }
+                while answer_next() {}
+            });
+        }
         slots
             .into_iter()
             .map(|s| s.into_inner().expect("every slot filled by a worker"))
@@ -1513,7 +1557,7 @@ impl Engine {
         let live: HashSet<&HopInputs> = self
             .models
             .values()
-            .flat_map(|e| e.inputs.values())
+            .flat_map(|e| e.hops.values().map(|(inp, _)| inp))
             .collect();
         let before = self.hops.len();
         self.hops.retain(|inp, _| live.contains(inp));
@@ -1620,6 +1664,28 @@ mod tests {
         assert_eq!(report.switches_recompiled, 1);
         assert!(!report.full_rebuild);
         assert!(engine.verify_against_cold(id).unwrap());
+    }
+
+    #[test]
+    fn touched_but_unchanged_delta_keeps_the_diagram() {
+        let mut engine = Engine::default();
+        let model = fattree_model(Ratio::new(1, 100));
+        let core = model.topo.find("core0").unwrap();
+        let scheme = model.scheme_for(core);
+        let id = engine.load(model).unwrap();
+        let before = engine.fdd(id).unwrap();
+        let stats = engine.stats();
+        let report = engine
+            .apply(id, Delta::SetSwitchScheme(core, scheme))
+            .unwrap();
+        assert_eq!(report.touched_upper_bound, 1);
+        assert_eq!(report.switches_changed, 0);
+        assert_eq!(report.switches_recompiled, 0);
+        assert_eq!(engine.fdd(id).unwrap(), before);
+        // Equal inputs reuse the stored hop without a cache lookup.
+        let after = engine.stats();
+        assert_eq!(after.hop_cache_hits, stats.hop_cache_hits);
+        assert_eq!(after.hop_cache_misses, stats.hop_cache_misses);
     }
 
     #[test]
@@ -1784,6 +1850,30 @@ mod tests {
         }
         assert_eq!(engine.stats().queries, reqs.len() as u64);
         assert!(engine.stats().query_p99_ns >= engine.stats().query_p50_ns);
+    }
+
+    #[test]
+    fn batch_answers_in_order_across_inline_and_spawned_work() {
+        let mut engine = Engine::default();
+        let id = engine.load(fattree_model(Ratio::new(1, 4))).unwrap();
+        let srcs = engine.model(id).unwrap().ingresses();
+        let points = || {
+            srcs.iter()
+                .map(|&src| Query::DeliveryProb { model: id, src }.into())
+        };
+        // The leading point queries run inline; the heavy one starts the
+        // workers, which answer the rest.
+        let reqs: Vec<QueryRequest> = points()
+            .chain([Query::MinDelivery { model: id }.into()])
+            .chain(points())
+            .collect();
+        let answers = engine.query_batch(&reqs);
+        assert_eq!(answers.len(), reqs.len());
+        for (req, got) in reqs.iter().zip(&answers) {
+            let want = engine.query(req).unwrap();
+            assert_eq!(got.as_ref().unwrap().prob(), want.prob());
+        }
+        assert!(engine.query_batch(&[]).is_empty());
     }
 
     #[test]

@@ -3,12 +3,15 @@
 //! SRLG membership churn, budget/hop-cap/destination flips — the engine's
 //! patched diagram must equal a cold compile of the current model after
 //! *every* prefix, and the patch accounting must respect the delta's
-//! declared invalidation bound.
+//! declared invalidation bound. Because the engine rebuilds the inputs
+//! of touched switches only, that bound is also checked against a full
+//! recomputation of every switch's inputs.
 
+use mcnetkat_net::fused::{hop_inputs, HopInputs};
 use mcnetkat_net::{down_ports, FailureModel, NetworkModel, RoutingScheme, Srlg};
 use mcnetkat_num::Ratio;
 use mcnetkat_serve::{Delta, Engine, EngineError, Query};
-use mcnetkat_topo::ab_fattree;
+use mcnetkat_topo::{ab_fattree, NodeId, ShortestPaths};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -123,6 +126,17 @@ fn concretize(d: &Desc, model: &NetworkModel) -> Delta {
     }
 }
 
+/// Every switch's hop-compile inputs, recomputed from scratch.
+fn all_inputs(model: &NetworkModel) -> Vec<(NodeId, HopInputs)> {
+    let sp = ShortestPaths::towards(&model.topo, model.dst);
+    model
+        .topo
+        .switches()
+        .iter()
+        .map(|&s| (s, hop_inputs(model, s, &sp)))
+        .collect()
+}
+
 fn base_model() -> NetworkModel {
     let topo = ab_fattree(4);
     let dst = topo.find("edge0_0").unwrap();
@@ -142,16 +156,39 @@ proptest! {
     /// the current model, and on every successful patch the accounting
     /// respects the bound `switches_recompiled ≤ switches_changed ≤
     /// |touched(delta)|` (recompile count may only exceed the changed set
-    /// when a structural delta dropped the whole cache).
+    /// when a structural delta dropped the whole cache). After a
+    /// non-structural patch, every switch whose inputs really changed
+    /// must lie in the delta's touched set (the engine rebuilds no other
+    /// switch's inputs), and those switches are exactly the changed count.
     #[test]
     fn patched_equals_cold_after_every_prefix(descs in vec(arb_desc(), 1..7)) {
         let mut engine = Engine::default();
         let id = engine.load(base_model()).unwrap();
         prop_assert!(engine.verify_against_cold(id).unwrap());
         for d in &descs {
-            let delta = concretize(d, engine.model(id).unwrap());
+            let old = engine.model(id).unwrap().clone();
+            let delta = concretize(d, &old);
+            let touched = delta.touched(&old);
             match engine.apply(id, delta) {
                 Ok(report) => {
+                    if !report.full_rebuild {
+                        let before = all_inputs(&old);
+                        let after = all_inputs(engine.model(id).unwrap());
+                        prop_assert_eq!(before.len(), after.len());
+                        let differ: Vec<NodeId> = before
+                            .iter()
+                            .zip(&after)
+                            .filter(|(b, a)| b != a)
+                            .map(|(_, (s, _))| *s)
+                            .collect();
+                        for &s in &differ {
+                            prop_assert!(
+                                touched.contains(s),
+                                "{d:?}: switch {s:?} changed inputs outside the touched set"
+                            );
+                        }
+                        prop_assert_eq!(report.switches_changed, differ.len(), "{:?}", d);
+                    }
                     prop_assert!(
                         report.switches_changed <= report.touched_upper_bound,
                         "{d:?}: changed {} > touched bound {}",
