@@ -18,15 +18,10 @@
 //! `MCNETKAT_SCALE=paper` adds fattree(10) and fattree(12) — scales the
 //! legacy pipeline could not touch; the default profile finishes in ~1 s
 //! (legacy comparison runs at p ≤ 8 only).
-//!
-//! `--order` sweeps the [`mcnetkat_net::FieldOrder`] interning policies
-//! instead (each in its own field namespace, so one process can compare
-//! all of them): with scratch fields eliminated per switch, variable
-//! order is now a second-order effect, and the sweep shows it.
 
 use mcnetkat_bench::{scale, secs, timed, Scale, Table};
 use mcnetkat_fdd::{CompileOptions, Manager};
-use mcnetkat_net::{FailureModel, FieldOrder, NetFields, NetworkModel, RoutingScheme};
+use mcnetkat_net::{FailureModel, NetworkModel, RoutingScheme};
 use mcnetkat_num::Ratio;
 use mcnetkat_topo::fattree;
 
@@ -58,10 +53,6 @@ fn main() {
         "the `failpoints` feature is enabled in a profiling build — \
          timings would include fault-injection checks; rebuild without it"
     );
-    if std::env::args().any(|a| a == "--order") {
-        order_sweep();
-        return;
-    }
     let ps: &[usize] = match scale() {
         Scale::Small => &[6, 8],
         Scale::Paper => &[6, 8, 10, 12],
@@ -199,44 +190,6 @@ fn main() {
     caches.print();
 
     dump_rates(&rates);
-}
-
-/// Sweeps the [`FieldOrder`] interning policies over fattree(6) and (8),
-/// each policy in its own field namespace so the process-wide interner
-/// cannot bleed one order into the next.
-fn order_sweep() {
-    println!("FieldOrder sweep (fused pipeline, ECMP, f = 1/1000)\n");
-    let mut table = Table::new(&["topology", "order", "fused total", "nodes", "scratch nodes"]);
-    for p in [6usize, 8] {
-        let topo = fattree(p);
-        let dst = topo.find("edge0_0").unwrap();
-        for order in FieldOrder::all() {
-            let ns = format!("ord_{}_{p}", order.name());
-            let fields = NetFields::with_order_in(&ns, topo.max_degree(), 0, order);
-            let model = NetworkModel::new_with_fields(
-                topo.clone(),
-                dst,
-                fields,
-                RoutingScheme::Ecmp,
-                FailureModel::independent(Ratio::new(1, 1000)),
-            );
-            let mgr = Manager::new();
-            let (res, t) = timed(|| model.compile_with_stats(&mgr, &CompileOptions::default()));
-            let (_fdd, stats) = res.expect("fused compile");
-            table.row(vec![
-                format!("fattree({p})"),
-                order.name().to_string(),
-                secs(t),
-                mgr.peak_live_nodes().to_string(),
-                stats.max_scratch_nodes.to_string(),
-            ]);
-        }
-    }
-    table.print();
-    println!(
-        "\n(orders only reshape the per-switch scratch diagrams now — the \
-         global diagram never sees a scratch field)"
-    );
 }
 
 /// Writes the hit rates (percent) and solver-fallback counters (raw

@@ -1,27 +1,20 @@
 //! A portable FDD representation for crossing [`Manager`] boundaries.
 //!
-//! The parallel backend (§6 "Parallel speedup") compiles per-switch
-//! programs on worker threads, each with a private manager to avoid lock
-//! contention — mirroring the paper's per-process workers. Results travel
-//! back as [`FddExport`] values and are re-interned into the main manager.
-//!
-//! An export can carry *several* roots over one shared node table
-//! ([`Manager::export_all`]): the tree-reduce merge phase ships a worker's
-//! guard and policy diagrams together, and any structure they share is
-//! serialised (and later re-interned) exactly once.
+//! Every per-switch hop is compiled in a private scratch manager — on the
+//! calling thread in the sequential pipeline, on a worker thread in the
+//! parallel one (§6 "Parallel speedup", mirroring the paper's per-process
+//! workers). The scratch-free result travels back as an [`FddExport`] and
+//! is re-interned into the main manager.
 
 use crate::{ActionDist, Fdd, Manager, Node};
 use mcnetkat_core::{Field, Value};
 use std::collections::HashMap;
 
-/// A self-contained, manager-independent FDD as a flattened DAG.
-///
-/// Holds one or more root handles into a shared node table; nodes reachable
-/// from several roots are stored once.
+/// A self-contained, manager-independent FDD as a flattened DAG: one root
+/// over a node table in which every child precedes its parents.
 #[derive(Clone, Debug)]
 pub struct FddExport {
     nodes: Vec<ExportNode>,
-    roots: Vec<usize>,
 }
 
 #[derive(Clone, Debug)]
@@ -38,23 +31,10 @@ enum ExportNode {
 impl Manager {
     /// Exports `p` as a manager-independent DAG.
     pub fn export(&self, p: Fdd) -> FddExport {
-        self.export_all(&[p])
-    }
-
-    /// Exports several diagrams into one DAG with a shared node table.
-    ///
-    /// Structure shared between the roots is serialised once; [`import_all`]
-    /// re-interns it once on the other side as well.
-    ///
-    /// [`import_all`]: Manager::import_all
-    pub fn export_all(&self, ps: &[Fdd]) -> FddExport {
         let mut ids: HashMap<Fdd, usize> = HashMap::new();
         let mut nodes: Vec<ExportNode> = Vec::new();
-        let roots = ps
-            .iter()
-            .map(|&p| self.export_rec(p, &mut ids, &mut nodes))
-            .collect();
-        FddExport { nodes, roots }
+        self.export_rec(p, &mut ids, &mut nodes);
+        FddExport { nodes }
     }
 
     fn export_rec(
@@ -90,24 +70,10 @@ impl Manager {
         ix
     }
 
-    /// Re-interns an exported DAG into this manager, returning its first
-    /// root.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `export` carries no roots (produced by `export_all(&[])`).
+    /// Re-interns an exported DAG into this manager, returning its root.
+    /// Shared nodes are interned once.
     pub fn import(&self, export: &FddExport) -> Fdd {
-        assert!(
-            export.root_count() > 0,
-            "cannot import a root-less FddExport"
-        );
-        self.import_all(export)[0]
-    }
-
-    /// Re-interns an exported DAG into this manager, returning every root
-    /// in export order. Shared nodes are interned once.
-    pub fn import_all(&self, export: &FddExport) -> Vec<Fdd> {
-        // Children always precede parents in the export order.
+        // Children always precede parents, so the root is the last node.
         let mut interned: Vec<Fdd> = Vec::with_capacity(export.nodes.len());
         for node in &export.nodes {
             let fdd = match node {
@@ -121,7 +87,7 @@ impl Manager {
             };
             interned.push(fdd);
         }
-        export.roots.iter().map(|&r| interned[r]).collect()
+        *interned.last().expect("an export holds at least its root")
     }
 }
 
@@ -135,11 +101,6 @@ impl FddExport {
     /// exports).
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
-    }
-
-    /// Number of roots carried by this export.
-    pub fn root_count(&self) -> usize {
-        self.roots.len()
     }
 }
 
@@ -193,21 +154,17 @@ mod tests {
     }
 
     #[test]
-    fn multi_root_export_shares_nodes_across_roots() {
+    fn round_trip_through_a_second_manager_preserves_identity() {
         let mgr = Manager::new();
         let f = Field::named("exp_j");
         let g = Field::named("exp_k");
         let shared = mgr.branch(g, 1, mgr.pass(), mgr.fail());
-        let a = mgr.branch(f, 1, shared, mgr.fail());
-        let b = mgr.branch(f, 2, shared, mgr.fail());
-        let export = mgr.export_all(&[a, b]);
-        assert_eq!(export.root_count(), 2);
-        // pass, fail, shared, a-root, b-root — `shared` appears once.
+        let a = mgr.branch(f, 1, shared, mgr.branch(f, 2, shared, mgr.fail()));
+        let export = mgr.export(a);
+        // pass, fail, shared, the (f, 2) branch, root — `shared` once.
         assert_eq!(export.len(), 5);
-        // Round trip through a second manager and back preserves identity.
         let other = Manager::new();
-        let moved = other.import_all(&export);
-        let back = mgr.import_all(&other.export_all(&moved));
-        assert_eq!(back, vec![a, b]);
+        let moved = other.import(&export);
+        assert_eq!(mgr.import(&other.export(moved)), a);
     }
 }

@@ -4,7 +4,7 @@
 //! benches, mirroring [`crate::AUDIT_ENABLED`]). The compiler registers
 //! *named sites* at the seams where real-world failures strike — loop-state
 //! interning, the lumping partition, the structured solver, parallel
-//! workers and merge rounds — and a test arms a site with a
+//! compile workers — and a test arms a site with a
 //! [`FaultAction`] that fires deterministically on the Nth hit:
 //!
 //! ```text
@@ -12,8 +12,7 @@
 //! fdd::intern              loop-state interning              Panic, Delay, Cancel
 //! fdd::loops::solve        any sparse solver rung            Singular, Panic, Delay, Cancel
 //! linalg::lump             the lumping partition rung        Singular, Panic, Delay, Cancel
-//! net::parallel::worker    per-switch worker closure         Panic, Delay, Cancel
-//! net::parallel::merge     tree-reduce merge rounds          Panic, Delay, Cancel
+//! net::parallel::worker    per-switch parallel worker loop   Panic, Delay, Cancel
 //! serve::journal::append   write-ahead journal append        Singular (= torn write), Cancel, Panic, Delay
 //! serve::apply::patch      per-switch patch closure          Singular, Panic, Delay, Cancel
 //! serve::apply::assemble   post-patch model assembly         Singular, Panic, Delay, Cancel

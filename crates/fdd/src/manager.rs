@@ -809,6 +809,13 @@ impl Manager {
         self.inner.lock().nodes[p.0 as usize]
     }
 
+    /// The `(field, value)` test at the root of `p`, or `None` for a leaf.
+    /// O(1): lets a caller check that a hand-built [`Manager::branch`]
+    /// respects the variable order before building it.
+    pub fn root_test(&self, p: Fdd) -> Option<(Field, Value)> {
+        var_of(&self.node(p))
+    }
+
     /// The interned distribution behind a leaf id.
     pub(crate) fn leaf_dist(&self, id: DistId) -> Arc<ActionDist> {
         self.inner.lock().dists[id.0 as usize].clone()

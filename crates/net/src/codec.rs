@@ -561,11 +561,9 @@ pub struct ModelDescription {
 }
 
 impl ModelDescription {
-    /// Captures a model's description. Only the default
-    /// [`crate::FieldOrder`] survives a round-trip — models built over a
-    /// custom field order rebuild with standard handles (the serve
-    /// engine, the only producer of descriptions, is pinned to the
-    /// default order already).
+    /// Captures a model's description. Field handles are not part of it:
+    /// [`ModelDescription::build`] re-interns the canonical fields through
+    /// [`NetworkModel::new`], the only way a model gets them.
     pub fn of(model: &NetworkModel) -> ModelDescription {
         ModelDescription {
             topo: model.topo.clone(),

@@ -38,14 +38,22 @@
 //! Both modes produce per-switch diagrams that mention no scratch field,
 //! so the global body, the loop solve, and the final diagram never see
 //! them — no per-hop erasure, no final [`Manager::forget`] projection.
+//!
+//! The parallelising backend of §6 ([`compile_model_parallel`]) is this
+//! same pipeline with the per-switch compile/eliminate/export step fanned
+//! out over scoped worker threads; the import, the chain and the tail are
+//! shared, so both return the same handle.
 
 use crate::model::bump_hop_counter;
 use crate::scheme::switch_program;
 use crate::NetworkModel;
 use mcnetkat_core::{Pred, Prog};
-use mcnetkat_fdd::{CompileError, CompileOptions, Fdd, Manager, ScratchField};
+use mcnetkat_fdd::{
+    CancelToken, CompileError, CompileOptions, Fdd, FddExport, Manager, ScratchField,
+};
 use mcnetkat_num::Ratio;
 use mcnetkat_topo::{NodeId, ShortestPaths};
+use std::any::Any;
 use std::collections::BTreeSet;
 
 /// Size gauges from one fused compile: how big the per-switch scratch
@@ -195,8 +203,26 @@ pub fn hop_inputs(model: &NetworkModel, s: NodeId, sp: &ShortestPaths) -> HopInp
 }
 
 /// Compiles one hop's [`HopInputs`] in a fresh scratch manager, eliminates
-/// the scratch fields, and imports the (tiny, scratch-free) result into
-/// `target`. `stats` records the scratch manager's peak size.
+/// the scratch fields, and exports the (tiny, scratch-free) result.
+/// Touches no shared manager, so it runs on any thread. `stats` records
+/// the scratch manager's peak size.
+///
+/// # Errors
+///
+/// Propagates [`CompileError`] from the scratch compile.
+pub fn compile_hop_export(
+    inputs: &HopInputs,
+    opts: &CompileOptions,
+    stats: &mut FusedStats,
+) -> Result<FddExport, CompileError> {
+    let scratch = Manager::new();
+    let hop = scratch.compile_with(&inputs.prog, opts)?;
+    let fdd = scratch.eliminate(hop, &inputs.scratch);
+    stats.absorb_scratch(&scratch);
+    Ok(scratch.export(fdd))
+}
+
+/// [`compile_hop_export`] followed by the import into `target`.
 ///
 /// # Errors
 ///
@@ -207,44 +233,27 @@ pub fn compile_hop_import(
     opts: &CompileOptions,
     stats: &mut FusedStats,
 ) -> Result<Fdd, CompileError> {
-    let scratch = Manager::new();
-    let hop = scratch.compile_with(&inputs.prog, opts)?;
-    let fdd = scratch.eliminate(hop, &inputs.scratch);
-    stats.absorb_scratch(&scratch);
-    Ok(target.import(&scratch.export(fdd)))
-}
-
-/// Compiles switch `s`'s fused hop — `failure draw ; scheme ; topology
-/// step ; hop bump` with every scratch field eliminated — in a fresh
-/// scratch manager, and imports the (tiny, scratch-free) result into
-/// `target`. Returns the imported diagram; `stats` records the scratch
-/// manager's peak size.
-///
-/// # Errors
-///
-/// Propagates [`CompileError`] from the scratch compile.
-pub fn compile_switch_hop(
-    target: &Manager,
-    model: &NetworkModel,
-    s: NodeId,
-    sp: &ShortestPaths,
-    opts: &CompileOptions,
-    stats: &mut FusedStats,
-) -> Result<Fdd, CompileError> {
-    compile_hop_import(target, &hop_inputs(model, s, sp), opts, stats)
+    Ok(target.import(&compile_hop_export(inputs, opts, stats)?))
 }
 
 /// Builds the global `sw`-case chain from per-switch hop diagrams, in
 /// reverse switch order so the chain tests switches in declaration order
 /// (mirroring the legacy `Prog::case`). `hop` supplies each switch's
-/// scratch-free diagram — a fresh compile in the batch pipeline, a cache
-/// lookup in an incremental engine.
+/// scratch-free diagram — a fresh compile in the sequential pipeline, an
+/// import of a worker's export in the parallel one, a cache lookup in an
+/// incremental engine.
 ///
 /// Each link is one hash-consed `sw = v` branch over the hop restricted to
-/// `sw = v`: `sw` is the first field under every [`crate::FieldOrder`] and
-/// `sw` values ascend in [`mcnetkat_topo::Topology::switches`] order, so the
-/// chain is already reduced and ordered, and (FDDs being canonical) it is
-/// the very handle an `ite` fold over `sw = v` tests would produce.
+/// `sw = v`, whenever that branch is well-ordered: the restricted hop's
+/// root tests a field above `sw` and the rest of the chain's root lies
+/// above `(sw, v)`. `sw` values ascend in
+/// [`mcnetkat_topo::Topology::switches`] order, so this holds whenever
+/// `sw` was interned before every field a hop tests (as
+/// [`crate::NetworkModel::new`] does in a fresh process), and then (FDDs
+/// being canonical) the branch is the very handle an `ite` over an
+/// `sw = v` test would produce. Field order is process-wide interning
+/// order, though, so a link that fails the O(1) root check falls back to
+/// that `ite`.
 ///
 /// # Errors
 ///
@@ -258,7 +267,15 @@ pub fn assemble_chain(
     let mut body = mgr.fail();
     for &s in model.topo.switches().iter().rev() {
         let v = model.topo.sw_value(s);
-        body = mgr.branch(sw, v, mgr.restrict_eq(hop(s)?, sw, v), body);
+        let hi = mgr.restrict_eq(hop(s)?, sw, v);
+        let ordered = mgr.root_test(hi).is_none_or(|(f, _)| f > sw)
+            && mgr.root_test(body).is_none_or(|t| t > (sw, v));
+        body = if ordered {
+            mgr.branch(sw, v, hi, body)
+        } else {
+            let test = mgr.branch(sw, v, mgr.pass(), mgr.fail());
+            mgr.ite(test, hi, body)
+        };
     }
     Ok(body)
 }
@@ -276,12 +293,203 @@ pub(crate) fn compile_model_fused(
         // Per-switch budget checkpoint: deadline/cancellation aborts land
         // at switch granularity even before the per-op governor notices.
         opts.budget.check_external()?;
-        compile_switch_hop(mgr, model, s, &sp, opts, &mut stats)
+        compile_hop_import(mgr, &hop_inputs(model, s, &sp), opts, &mut stats)
     })?;
     let fdd = assemble_model(mgr, model, body, opts)?;
     #[cfg(feature = "audit")]
     audit_compiled_model(mgr, model, fdd);
     Ok((fdd, stats))
+}
+
+/// Compiles `model` using `workers` threads for the per-switch hops.
+///
+/// The sequential pipeline with its hop compiles fanned out: the switch
+/// set is split into contiguous chunks, one per
+/// [`std::thread::scope`] worker, and each worker runs [`hop_inputs`] →
+/// [`compile_hop_export`] for its switches. The exports are then imported
+/// in switch order through the same [`assemble_chain`] and finished by the
+/// same [`assemble_model`], so the result is the very handle
+/// [`NetworkModel::compile`] returns for any `workers` (1 included). `opts`
+/// governs every compile, on worker threads and in `mgr` alike.
+///
+/// # Errors
+///
+/// Propagates the first real [`CompileError`] raised by any worker (a
+/// panicking worker surfaces as [`CompileError::WorkerPanicked`]), or by
+/// the shared tail.
+pub fn compile_model_parallel(
+    mgr: &Manager,
+    model: &NetworkModel,
+    workers: usize,
+    opts: &CompileOptions,
+) -> Result<Fdd, CompileError> {
+    Ok(compile_model_parallel_with_stats(mgr, model, workers, opts)?.0)
+}
+
+/// [`compile_model_parallel`] plus the fused pipeline's scratch-size
+/// gauges, merged over every worker (`switches` sums, peaks max).
+///
+/// # Errors
+///
+/// As [`compile_model_parallel`].
+pub fn compile_model_parallel_with_stats(
+    mgr: &Manager,
+    model: &NetworkModel,
+    workers: usize,
+    opts: &CompileOptions,
+) -> Result<(Fdd, FusedStats), CompileError> {
+    let sp = ShortestPaths::towards(&model.topo, model.dst);
+    let switches = model.topo.switches();
+
+    // Fan-out cancellation: workers run under a *child* of the caller's
+    // token (or a fresh one), so the first failure can cancel its
+    // siblings promptly without firing the caller's own token.
+    let abort = opts
+        .budget
+        .cancel
+        .as_ref()
+        .map_or_else(CancelToken::new, CancelToken::child);
+    let worker_opts = CompileOptions {
+        budget: opts.budget.clone().with_cancel(abort.clone()),
+        ..opts.clone()
+    };
+
+    // Map: every join is collected — a worker panic is converted into
+    // `WorkerPanicked` and cancels the remaining workers; it never
+    // propagates as a panic and never leaks a running thread.
+    let chunk = switches.len().div_ceil(workers.max(1)).max(1);
+    let mut exports: Vec<FddExport> = Vec::with_capacity(switches.len());
+    let mut stats = FusedStats::default();
+    let mut first_err: Option<CompileError> = None;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = switches
+            .chunks(chunk)
+            .map(|work| {
+                let (sp, abort, opts) = (&sp, &abort, &worker_opts);
+                scope.spawn(move || {
+                    let result = contain_panics(|| compile_chunk(model, work, sp, opts));
+                    if result.is_err() {
+                        // Fail fast: siblings see the cancellation at their
+                        // next checkpoint, not after finishing their chunk.
+                        abort.cancel();
+                    }
+                    result
+                })
+            })
+            .collect();
+        for handle in handles {
+            match handle.join() {
+                Ok(Ok((part, worker_stats))) => {
+                    exports.extend(part);
+                    stats.merge(&worker_stats);
+                }
+                Ok(Err(e)) => note_error(&mut first_err, e),
+                // Unreachable in practice (`contain_panics` already caught
+                // inside the worker), kept so a join failure can never
+                // poison the scope.
+                Err(payload) => note_error(
+                    &mut first_err,
+                    CompileError::WorkerPanicked {
+                        payload: payload_string(payload.as_ref()),
+                    },
+                ),
+            }
+        }
+    });
+    if let Some(e) = first_err {
+        return Err(e);
+    }
+    opts.budget.check_external()?;
+
+    // Ordered import: chunks were joined in order, so `exports[i]` is
+    // `switches[i]`'s hop.
+    let body = assemble_chain(mgr, model, |s| {
+        let i = switches
+            .iter()
+            .position(|&t| t == s)
+            .expect("a model switch");
+        Ok(mgr.import(&exports[i]))
+    })?;
+    let fdd = assemble_model(mgr, model, body, opts)?;
+    #[cfg(feature = "audit")]
+    audit_compiled_model(mgr, model, fdd);
+    Ok((fdd, stats))
+}
+
+/// One worker's share of [`compile_model_parallel`]: the exported fused
+/// hop of every switch in `work`, in order, plus the worker's gauges.
+fn compile_chunk(
+    model: &NetworkModel,
+    work: &[NodeId],
+    sp: &ShortestPaths,
+    opts: &CompileOptions,
+) -> Result<(Vec<FddExport>, FusedStats), CompileError> {
+    let mut stats = FusedStats::default();
+    let exports = work
+        .iter()
+        .map(|&s| {
+            // Per-switch checkpoint: a cancelled sibling token or expired
+            // deadline stops this worker at the next switch boundary.
+            worker_failpoint()?;
+            opts.budget.check_external()?;
+            compile_hop_export(&hop_inputs(model, s, sp), opts, &mut stats)
+        })
+        .collect::<Result<_, _>>()?;
+    Ok((exports, stats))
+}
+
+/// Renders a caught panic payload for [`CompileError::WorkerPanicked`].
+fn payload_string(payload: &(dyn Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
+/// Error-precedence accumulator for the fan-in join: the first *real*
+/// error wins; [`CompileError::Cancelled`] only sticks when nothing better
+/// arrives, because sibling workers are cancelled *as a consequence* of
+/// the first failure and their cancellation must not mask its cause.
+fn note_error(slot: &mut Option<CompileError>, e: CompileError) {
+    match slot {
+        None => *slot = Some(e),
+        Some(CompileError::Cancelled) if !matches!(e, CompileError::Cancelled) => *slot = Some(e),
+        Some(_) => {}
+    }
+}
+
+/// Runs `f`, converting any panic into [`CompileError::WorkerPanicked`]
+/// so the fan-out degrades into a typed error instead of tearing the
+/// process down. The default panic hook still reports the panic site to
+/// stderr, which is exactly what a postmortem wants.
+fn contain_panics<T>(f: impl FnOnce() -> Result<T, CompileError>) -> Result<T, CompileError> {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
+        Ok(result) => result,
+        Err(payload) => Err(CompileError::WorkerPanicked {
+            payload: payload_string(payload.as_ref()),
+        }),
+    }
+}
+
+/// Polls the `net::parallel::worker` failpoint. Compiles away without the
+/// `failpoints` feature.
+fn worker_failpoint() -> Result<(), CompileError> {
+    #[cfg(feature = "failpoints")]
+    {
+        use mcnetkat_fdd::failpoints::{check, InjectedFault};
+        match check("net::parallel::worker") {
+            None => Ok(()),
+            Some(InjectedFault::Cancelled) => Err(CompileError::Cancelled),
+            Some(InjectedFault::Singular) => {
+                Err(CompileError::Solver(mcnetkat_fdd::LinalgError::Singular(0)))
+            }
+        }
+    }
+    #[cfg(not(feature = "failpoints"))]
+    Ok(())
 }
 
 /// The `audit` feature's post-compile verification, run on every diagram
@@ -451,7 +659,9 @@ mod tests {
                 .topo
                 .switches()
                 .iter()
-                .map(|&s| compile_switch_hop(&mgr, m, s, &sp, &opts, &mut stats).unwrap())
+                .map(|&s| {
+                    compile_hop_import(&mgr, &hop_inputs(m, s, &sp), &opts, &mut stats).unwrap()
+                })
                 .collect();
             let switches = m.topo.switches();
             let hop = |s| Ok(hops[switches.iter().position(|&t| t == s).unwrap()]);

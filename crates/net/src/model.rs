@@ -60,41 +60,10 @@ impl NetworkModel {
         failure: impl Into<FailureSpec>,
     ) -> NetworkModel {
         let failure = failure.into();
-        let fields = NetFields::with_groups(topo.max_degree(), failure.group_count());
-        NetworkModel::new_with_fields(topo, dst, fields, scheme, failure)
-    }
-
-    /// Builds a model over explicitly provided field handles — the hook
-    /// for sweeping [`crate::FieldOrder`] policies (each policy interns
-    /// its fields in its own order, possibly namespaced).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec fails [`FailureSpec::validate`], or if `fields`
-    /// declares fewer `up`/`grp` handles than the topology and spec need.
-    pub fn new_with_fields(
-        topo: Topology,
-        dst: NodeId,
-        fields: NetFields,
-        scheme: RoutingScheme,
-        failure: impl Into<FailureSpec>,
-    ) -> NetworkModel {
-        let failure = failure.into();
         if let Err(e) = failure.validate(&topo) {
             panic!("invalid failure spec: {e}");
         }
-        assert!(
-            fields.ups().len() >= topo.max_degree(),
-            "fields declare {} up flags, topology needs {}",
-            fields.ups().len(),
-            topo.max_degree()
-        );
-        assert!(
-            fields.grps().len() >= failure.group_count(),
-            "fields declare {} group flags, spec needs {}",
-            fields.grps().len(),
-            failure.group_count()
-        );
+        let fields = NetFields::with_groups(topo.max_degree(), failure.group_count());
         NetworkModel {
             topo,
             dst,

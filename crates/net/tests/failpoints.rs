@@ -29,8 +29,8 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Eight merge-friendly workers: 8 parts tree-reduce through two parallel
-/// merge rounds (8 → 4 → 2) before the main-manager finish.
+/// Eight workers: more than the cores of most CI hosts, so panics and
+/// cancellations race real sibling threads.
 const WORKERS: usize = 8;
 
 fn model() -> NetworkModel {
@@ -95,27 +95,6 @@ fn worker_panic_is_contained_and_typed() {
         other => panic!("expected WorkerPanicked, got {other:?}"),
     }
     assert!(failpoints::fired("net::parallel::worker") >= 1);
-    assert_recovers(&mgr, &m);
-}
-
-#[test]
-fn merge_round_panic_is_contained_and_typed() {
-    let _guard = serial();
-    failpoints::clear_all();
-    let m = model();
-    let mgr = Manager::new();
-    failpoints::configure(
-        "net::parallel::merge",
-        FaultAction::Panic("injected merge crash".into()),
-        1,
-        1,
-    );
-    match compile_model_parallel(&mgr, &m, WORKERS, &Default::default()) {
-        Err(CompileError::WorkerPanicked { payload }) => {
-            assert!(payload.contains("injected merge crash"));
-        }
-        other => panic!("expected WorkerPanicked, got {other:?}"),
-    }
     assert_recovers(&mgr, &m);
 }
 
@@ -237,14 +216,13 @@ struct Schedule {
 /// Sites where a panic is caught by the containment layer. Panicking at a
 /// sequential-path site would (correctly) abort the test process, so the
 /// storm only arms `Panic` here.
-const PARALLEL_SITES: [&str; 2] = ["net::parallel::worker", "net::parallel::merge"];
+const PARALLEL_SITES: [&str; 1] = ["net::parallel::worker"];
 /// All sites reachable from the parallel fattree(4) compile.
-const ALL_SITES: [&str; 5] = [
+const ALL_SITES: [&str; 4] = [
     "fdd::intern",
     "fdd::loops::solve",
     "linalg::lump",
     "net::parallel::worker",
-    "net::parallel::merge",
 ];
 
 fn arb_schedule() -> impl Strategy<Value = Schedule> {

@@ -8,12 +8,14 @@
 //! FDD first. These tests pin the two `equiv` (and `refines` both ways)
 //! on the §2 running example's hop, fattree(4)/(6), all-singleton and
 //! correlated SRLG specs, and randomised guarded specs — for both the
-//! sequential and parallel backends, bounded and unbounded.
+//! sequential and parallel backends, bounded and unbounded. The parallel
+//! backend is the same pipeline with the hop compiles fanned out, so it is
+//! pinned to the sequential compile's very handle, not just `equiv`.
 
-use mcnetkat_fdd::{Manager, ScratchField};
+use mcnetkat_fdd::{CompileError, CompileOptions, Manager, ScratchField};
 use mcnetkat_net::{
-    compile_model_parallel, running_example, FailureModel, FailureSpec, NetworkModel,
-    RoutingScheme, Srlg,
+    compile_model_parallel, compile_model_parallel_with_stats, running_example, FailureModel,
+    FailureSpec, NetworkModel, RoutingScheme, Srlg,
 };
 use mcnetkat_num::Ratio;
 use mcnetkat_topo::{ab_fattree, fattree, Topology};
@@ -31,8 +33,110 @@ fn assert_fused_matches_legacy(model: &NetworkModel, workers: &[usize]) {
     );
     for &w in workers {
         let par = compile_model_parallel(&mgr, model, w, &Default::default()).unwrap();
-        assert!(mgr.equiv(par, legacy), "parallel({w}) fused ≢ legacy");
+        assert_eq!(par, fused, "parallel({w}) is not the sequential handle");
     }
+}
+
+/// Pins `compile_model_parallel` to `NetworkModel::compile`'s handle over
+/// worker counts of one, two, one that does not divide the switch count,
+/// one above the core count, and more workers than switches — and checks
+/// the merged gauges cover every switch once.
+fn assert_parallel_is_sequential(m: &NetworkModel) {
+    let mgr = Manager::new();
+    let seq = m.compile(&mgr).unwrap();
+    let switches = m.topo.switches().len();
+    for w in [1, 2, 3, 7, switches + 5] {
+        let (par, stats) =
+            compile_model_parallel_with_stats(&mgr, m, w, &Default::default()).unwrap();
+        assert_eq!(par, seq, "workers = {w}");
+        assert_eq!(stats.switches, switches, "workers = {w}");
+        assert!(stats.max_scratch_nodes > 0);
+    }
+}
+
+fn fattree4(scheme: RoutingScheme, failure: impl Into<FailureSpec>) -> NetworkModel {
+    let topo = ab_fattree(4);
+    let dst = topo.find("edge0_0").unwrap();
+    NetworkModel::new(topo, dst, scheme, failure)
+}
+
+#[test]
+fn parallel_matches_sequential() {
+    assert_parallel_is_sequential(&fattree4(
+        RoutingScheme::F10_3,
+        FailureModel::independent(Ratio::new(1, 10)),
+    ));
+}
+
+#[test]
+fn parallel_matches_sequential_with_bounded_failures() {
+    // At most 2 concurrent failures with the 5-hop F10 rerouting scheme.
+    assert_parallel_is_sequential(&fattree4(
+        RoutingScheme::F10_3_5,
+        FailureModel::bounded(Ratio::new(1, 10), 2),
+    ));
+}
+
+#[test]
+fn parallel_matches_sequential_under_srlg() {
+    let topo = ab_fattree(4);
+    let spec = FailureSpec::independent(Ratio::new(1, 10))
+        .with_groups(Srlg::linecards(&topo, &Ratio::new(1, 50)));
+    assert_parallel_is_sequential(&fattree4(RoutingScheme::F10_3, spec));
+}
+
+#[test]
+fn parallel_matches_sequential_with_hop_cap() {
+    assert_parallel_is_sequential(
+        &fattree4(
+            RoutingScheme::Ecmp,
+            FailureModel::independent(Ratio::new(1, 10)),
+        )
+        .with_hop_cap(8),
+    );
+}
+
+/// Workers compile with the caller's options: a tiny state limit makes
+/// the parallel path fail with the same error as the sequential one.
+#[test]
+fn parallel_respects_state_limit_like_sequential() {
+    let m = fattree4(
+        RoutingScheme::F10_3,
+        FailureModel::independent(Ratio::new(1, 10)),
+    );
+    let opts = CompileOptions {
+        state_limit: 4,
+        ..CompileOptions::default()
+    };
+    let mgr = Manager::new();
+    let seq_err = m.compile_with(&mgr, &opts).unwrap_err();
+    assert!(
+        matches!(seq_err, CompileError::StateSpaceTooLarge { .. }),
+        "sequential: {seq_err}"
+    );
+    for workers in [1, 4] {
+        let par_err = compile_model_parallel(&mgr, &m, workers, &opts).unwrap_err();
+        assert!(
+            matches!(par_err, CompileError::StateSpaceTooLarge { .. }),
+            "workers = {workers}: {par_err}"
+        );
+    }
+}
+
+#[test]
+fn parallel_loop_solutions_hit_the_cache_on_recompile() {
+    let m = fattree4(
+        RoutingScheme::F10_3,
+        FailureModel::independent(Ratio::new(1, 10)),
+    );
+    let mgr = Manager::new();
+    let first = compile_model_parallel(&mgr, &m, 2, &Default::default()).unwrap();
+    let misses_after_first = mgr.while_cache_stats().misses;
+    let second = compile_model_parallel(&mgr, &m, 3, &Default::default()).unwrap();
+    assert_eq!(first, second);
+    let stats = mgr.while_cache_stats();
+    assert!(stats.hits >= 1, "expected a cache hit, got {stats:?}");
+    assert_eq!(stats.misses, misses_after_first, "no new loop solves");
 }
 
 /// The §2 running example's fragile hop: compiling the routing program

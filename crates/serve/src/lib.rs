@@ -1046,11 +1046,8 @@ impl Engine {
     /// sharing switches with an already-loaded one reuses their
     /// diagrams), and returns its handle.
     ///
-    /// All loaded models must share field handles — build them with
-    /// [`NetworkModel::new`] (the default [`mcnetkat_net::FieldOrder`]).
-    /// An engine is pinned to one field order for its lifetime; changing
-    /// order means a fresh engine, the one "shared structure" delta that
-    /// cannot be expressed as a [`Delta`].
+    /// All loaded models share the canonical field handles that
+    /// [`NetworkModel::new`] interns.
     ///
     /// # Errors
     ///
