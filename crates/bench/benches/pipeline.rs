@@ -1,10 +1,10 @@
 //! Criterion microbenchmarks (E10): the compilation pipeline stage by
-//! stage, plus ablations for the design choices called out in DESIGN.md —
-//! solver backend choice and exact-vs-float loop solving.
+//! stage, the Gauss–Seidel solve behind the approximate model checker,
+//! and the exact sparse loop solve inside the compiler.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mcnetkat_fdd::{CompileOptions, Manager};
-use mcnetkat_linalg::{AbsorbingChain, SolverBackend};
+use mcnetkat_fdd::Manager;
+use mcnetkat_linalg::AbsorbingChain;
 use mcnetkat_net::{chain_benchmark, FailureModel, FailureSpec, NetworkModel, RoutingScheme, Srlg};
 use mcnetkat_num::Ratio;
 use mcnetkat_prism::{check_reachability, translate, McMode};
@@ -153,8 +153,9 @@ fn bench_chain_engines(c: &mut Criterion) {
     group.finish();
 }
 
-/// Ablation: the same absorbing chain solved by each linear backend.
-fn bench_solver_backends(c: &mut Criterion) {
+/// The float Gauss–Seidel solve of the PRISM-style approximate model
+/// checker, on a chain too cyclic for exact elimination.
+fn bench_gauss_seidel(c: &mut Criterion) {
     assert_audit_off();
     let mut group = c.benchmark_group("solver_backends");
     // A leaky random-walk chain with 400 transient states: each state
@@ -171,53 +172,29 @@ fn bench_solver_backends(c: &mut Criterion) {
         chain.add(s, back, Ratio::new(9, 20));
         chain.add(s, n, Ratio::new(1, 10));
     }
-    // `SparseScc` is deliberately absent: it solves in exact rational
-    // arithmetic, and this chain is a single 400-state SCC — the one shape
-    // where exact elimination is hopeless (seconds, not microseconds; the
-    // entries grow into huge rationals). Its regime — many small SCCs
-    // and lumped symmetric blocks — is what `loop_solving/sparse_scc` and
-    // the `fattree_compile` benchmarks measure.
-    for backend in [
-        SolverBackend::SparseLu,
-        SolverBackend::GaussSeidel,
-        SolverBackend::DenseLu,
-    ] {
-        group.bench_function(format!("{backend:?}"), |b| {
-            b.iter(|| chain.solve(backend).unwrap())
-        });
-    }
+    // The exact sparse solve is deliberately absent: this chain is a
+    // single 400-state SCC — the one shape where exact elimination is
+    // hopeless (seconds, not microseconds; the entries grow into huge
+    // rationals). Its regime — many small SCCs and lumped symmetric
+    // blocks — is what `loop_solving/sparse_scc` and the
+    // `fattree_compile` benchmarks measure.
+    group.bench_function("GaussSeidel", |b| {
+        b.iter(|| chain.solve_gauss_seidel().unwrap())
+    });
     group.finish();
 }
 
-/// Ablation: exact rational vs float loop solving inside the compiler,
-/// plus the structured sparse solve that replaced both as the default.
-/// The float/exact arms pin `SparseLu` explicitly — the default backend
-/// is now `SparseScc`, which is exact at every size and ignores
-/// `exact_threshold`, so without the pin both arms would measure the
-/// same thing.
-fn bench_exact_vs_float_loops(c: &mut Criterion) {
+/// The compiler's exact loop solve (sparse SCC with lumping) on a small
+/// chain model.
+fn bench_loop_solving(c: &mut Criterion) {
     assert_audit_off();
     let mut group = c.benchmark_group("loop_solving");
     group.sample_size(10);
     let bench = chain_benchmark(3, Ratio::new(1, 100));
-    for (label, exact_threshold) in [("float", 0usize), ("exact", 10_000)] {
-        let opts = CompileOptions {
-            backend: SolverBackend::SparseLu,
-            exact_threshold,
-            ..CompileOptions::default()
-        };
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let mgr = Manager::new();
-                mgr.compile_with(&bench.program, &opts).unwrap()
-            })
-        });
-    }
     group.bench_function("sparse_scc", |b| {
         b.iter(|| {
             let mgr = Manager::new();
-            mgr.compile_with(&bench.program, &CompileOptions::default())
-                .unwrap()
+            mgr.compile(&bench.program).unwrap()
         })
     });
     group.finish();
@@ -228,7 +205,7 @@ criterion_group!(
     bench_fattree_compile,
     bench_fattree_srlg,
     bench_chain_engines,
-    bench_solver_backends,
-    bench_exact_vs_float_loops
+    bench_gauss_seidel,
+    bench_loop_solving
 );
 criterion_main!(benches);

@@ -6,8 +6,9 @@
 //! This binary compares such a dump against `crates/bench/BENCH_baseline.json`
 //! and reports every shared benchmark that regressed by more than the
 //! threshold (default 15%). Benchmarks present on only one side are
-//! reported but never count as regressions, so adding or retiring
-//! benchmarks doesn't require a baseline refresh in the same change.
+//! reported but, in the full comparison, never count as regressions, so
+//! adding or retiring benchmarks doesn't require a baseline refresh in
+//! the same change.
 //!
 //! By default the gate is **advisory**: regressions are printed but the
 //! exit code stays zero (baselines are machine-specific, so foreign
@@ -18,7 +19,10 @@
 //! `chain_engines/native_fdd`, and the two large fat-tree compiles that
 //! depend on the sparse SCC loop solve staying sparse);
 //! `--stable-only --fail-on-regress` is the *blocking* CI gate, while the
-//! full set stays advisory.
+//! full set stays advisory. In the stable subset a baseline benchmark
+//! missing from the results counts as a failure: a blocking benchmark
+//! that stops running must not pass the gate silently. Retiring one means
+//! removing it from the baseline in the same change.
 //!
 //! When a `BENCH_opcache.json` dump is present (written by the
 //! `perf_profile` binary), the op-cache hit rates it contains are appended
@@ -181,14 +185,16 @@ fn main() -> ExitCode {
     println!("comparing {current_path} against {baseline_path} (threshold {threshold_pct}%)\n");
     let mut table = Table::new(&["benchmark", "baseline", "current", "delta", "verdict"]);
     let mut regressions = 0usize;
+    let mut missing = 0usize;
     for (name, &base_ns) in &baseline {
         let Some(&cur_ns) = current.get(name) else {
+            missing += 1;
             table.row(vec![
                 name.clone(),
                 fmt_ns(base_ns),
                 "—".into(),
                 "—".into(),
-                "missing".into(),
+                if stable_only { "MISSING" } else { "missing" }.into(),
             ]);
             continue;
         };
@@ -224,6 +230,14 @@ fn main() -> ExitCode {
 
     if regressions > 0 {
         eprintln!("\nwarning: {regressions} benchmark(s) regressed by more than {threshold_pct}%");
+    }
+    // Only the stable subset is blocking, so only there does a vanished
+    // benchmark count against the gate.
+    let missing = if stable_only { missing } else { 0 };
+    if missing > 0 {
+        eprintln!("\nwarning: {missing} stable benchmark(s) in the baseline did not run");
+    }
+    if regressions + missing > 0 {
         if fail_on_regress {
             ExitCode::FAILURE
         } else {

@@ -3,29 +3,22 @@
 
 use crate::{loops, Action, ActionDist, Budget, Fdd, Manager};
 use mcnetkat_core::{Pred, Prog};
-use mcnetkat_linalg::{LinalgError, SolverBackend};
+use mcnetkat_linalg::LinalgError;
 use std::fmt;
 
 /// Options controlling compilation.
+///
+/// `while` loops are always solved exactly, by the sparse SCC solve of
+/// [`mcnetkat_linalg::AbsorbingChain::solve_sparse_scc`]; these options
+/// bound the work and pick how the solve degrades, never the arithmetic.
 #[derive(Clone, Debug)]
 pub struct CompileOptions {
-    /// Linear-solver backend used for `while` loops. The default,
-    /// [`SolverBackend::SparseScc`], solves exactly over the transient
-    /// SCC DAG; the float backends exist for cross-validation and for
-    /// chains whose structure defeats the sparse path.
-    pub backend: SolverBackend,
     /// Upper bound on the symbolic state space explored per loop.
     pub state_limit: usize,
-    /// For *float* backends only: loops whose transient state count is at
-    /// most this bound are solved with exact rational elimination instead,
-    /// so that downstream equivalence checks are exact. Set to 0 to always
-    /// use the float backend. [`SolverBackend::SparseScc`] is exact at
-    /// every size and ignores this bound.
-    pub exact_threshold: usize,
-    /// For [`SolverBackend::SparseScc`]: quotient the chain by its
-    /// coarsest exact ordinary lumping before solving, collapsing
-    /// symmetric states (isomorphic fat-tree pods) to one representative.
-    /// Exact — never changes the result, only the work.
+    /// Quotient each loop chain by its coarsest exact ordinary lumping
+    /// before solving, collapsing symmetric states (isomorphic fat-tree
+    /// pods) to one representative. Exact — never changes the result,
+    /// only the work.
     pub lumping: bool,
     /// What to do when the configured loop solver fails (see
     /// [`FallbackPolicy`]). Part of the `while`-cache key.
@@ -40,9 +33,7 @@ pub struct CompileOptions {
 impl Default for CompileOptions {
     fn default() -> Self {
         CompileOptions {
-            backend: SolverBackend::SparseScc,
             state_limit: 4_000_000,
-            exact_threshold: 512,
             lumping: true,
             fallback: FallbackPolicy::default(),
             budget: Budget::default(),
@@ -52,13 +43,13 @@ impl Default for CompileOptions {
 
 /// Declarative solver-degradation policy for `while`-loop solves.
 ///
-/// The rung order for [`SolverBackend::SparseScc`] is: (1) the sparse
-/// SCC solve with the configured lumping, (2) the same solve with
-/// lumping disabled (a lumping edge case cannot then mask a solvable
-/// chain), (3) the dense exact reference solver. Float backends skip
-/// rung 2 (lumping is a sparse-path concept) and fall straight to the
-/// dense reference. Each rung that fires is counted in the manager's
-/// [`crate::SolveReport`], so degradation is visible, never silent.
+/// The rung order is: (1) the sparse SCC solve with the configured
+/// lumping, (2) the same solve with lumping disabled (a lumping edge case
+/// cannot then mask a solvable chain), (3) the dense exact reference
+/// solver. Every rung is exact, so a fallback changes how an answer is
+/// computed, never the answer. Each rung that fires is counted in the
+/// manager's [`crate::SolveReport`], so degradation is visible, never
+/// silent.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct FallbackPolicy {
     /// Rung 2: retry the sparse SCC solve without lumping when the lumped
@@ -95,25 +86,21 @@ impl FallbackPolicy {
 /// compiled diagram — the key of the manager's loop-solution cache.
 ///
 /// Every solver-configuration field must appear here: `state_limit`
-/// decides whether a loop compiles at all, `backend`/`exact_threshold`
-/// select the solver arithmetic (which changes float-path leaf
-/// probabilities), and `lumping` selects the quotienting strategy.
-/// Lumping is semantically invisible, but keying on it anyway keeps the
-/// rule auditable — *any* field that steers the solve is part of the key —
-/// so a future inexact quotient can't silently share cache entries with
-/// the unquotiented path. Leaving a field out would let a solution
-/// computed under one configuration answer a query made under another.
-/// `fallback` steers which solver ultimately produces the rows (a policy
-/// that reaches the dense reference can succeed where `strict()` errors,
-/// and the float ladder's dense rung changes leaf probabilities), so it
-/// is part of the key too. The [`Budget`] is the one options field *not*
-/// in the key: it decides whether a compile finishes, never what a
-/// finished compile produces, and aborted compiles are never cached.
+/// decides whether a loop compiles at all, and `lumping` selects the
+/// quotienting strategy. Lumping is semantically invisible, but keying on
+/// it anyway keeps the rule auditable — *any* field that steers the solve
+/// is part of the key — so a future inexact quotient can't silently share
+/// cache entries with the unquotiented path. Leaving a field out would let
+/// a solution computed under one configuration answer a query made under
+/// another. `fallback` steers which solver ultimately produces the rows (a
+/// policy that reaches the dense reference can succeed where `strict()`
+/// errors), so it is part of the key too. The [`Budget`] is the one
+/// options field *not* in the key: it decides whether a compile finishes,
+/// never what a finished compile produces, and aborted compiles are never
+/// cached.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub(crate) struct OptsKey {
-    backend: SolverBackend,
     state_limit: usize,
-    exact_threshold: usize,
     lumping: bool,
     fallback: FallbackPolicy,
 }
@@ -121,9 +108,7 @@ pub(crate) struct OptsKey {
 impl From<&CompileOptions> for OptsKey {
     fn from(opts: &CompileOptions) -> OptsKey {
         OptsKey {
-            backend: opts.backend,
             state_limit: opts.state_limit,
-            exact_threshold: opts.exact_threshold,
             lumping: opts.lumping,
             fallback: opts.fallback,
         }
@@ -439,10 +424,10 @@ mod tests {
         assert_eq!(a, b);
         let s2 = mgr.while_cache_stats();
         assert_eq!((s2.hits, s2.misses), (1, 1));
-        // Different options form a different key: the float path must not
-        // be answered by the exact-path solution.
+        // Different options form a different key: the unquotiented solve
+        // must not be answered by the lumped solve's entry.
         let opts = CompileOptions {
-            exact_threshold: 0,
+            lumping: false,
             ..CompileOptions::default()
         };
         mgr.compile_with(&prog, &opts).unwrap();
@@ -454,7 +439,7 @@ mod tests {
     #[test]
     fn while_cache_keys_on_solver_configuration() {
         // Regression: the cache key must cover every solver-configuration
-        // field. A solution computed under one backend / lumping setting
+        // field. A solution computed under one lumping / fallback setting
         // must never answer a query made under another — each distinct
         // configuration is its own miss and its own entry.
         let mgr = Manager::new();
@@ -462,17 +447,9 @@ mod tests {
         let body = Prog::choice2(Prog::assign(f, 1), Ratio::new(1, 3), Prog::skip());
         let prog = Prog::while_(Pred::test(f, 0), body);
         let configs = [
-            CompileOptions::default(), // SparseScc, lumping on
+            CompileOptions::default(), // lumping on
             CompileOptions {
                 lumping: false,
-                ..CompileOptions::default()
-            },
-            CompileOptions {
-                backend: SolverBackend::SparseLu,
-                ..CompileOptions::default()
-            },
-            CompileOptions {
-                backend: SolverBackend::GaussSeidel,
                 ..CompileOptions::default()
             },
             // The fallback policy steers which solver can produce the
@@ -492,10 +469,11 @@ mod tests {
                 "config {i} must miss and add an entry, not hit a stale one"
             );
         }
-        // The exact paths agree on the diagram (hash-consing makes that
-        // pointer equality); the point above is that they got there via
-        // separate solves, not a cross-configuration cache hit.
-        assert_eq!(results[0], results[1]);
+        // Every configuration solves exactly, so they agree on the diagram
+        // (hash-consing makes that pointer equality); the point above is
+        // that they got there via separate solves, not a
+        // cross-configuration cache hit.
+        assert!(results.iter().all(|&r| r == results[0]));
         // Re-compiling each configuration now hits its own entry.
         for (i, opts) in configs.iter().enumerate() {
             let again = mgr.compile_with(&prog, opts).unwrap();

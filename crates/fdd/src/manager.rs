@@ -157,10 +157,10 @@ struct Inner {
     dist_then_cache: Cache<(ActId, DistId), DistId>,
     // Memoised `while`-loop solutions (see `Manager::while_loop`). The key
     // must include every solver-configuration option: `state_limit` bounds
-    // which loops solve at all, `backend`/`exact_threshold` select the
-    // arithmetic, and `lumping` selects the quotienting strategy, so the
-    // same (guard, body) can legitimately yield different diagrams under
-    // different options. See `OptsKey` for the full rule.
+    // which loops solve at all, `lumping` selects the quotienting strategy
+    // and `fallback` which rungs may produce the rows, so the same (guard,
+    // body) can legitimately succeed under one option set and fail under
+    // another. See `OptsKey` for the full rule.
     while_cache: Cache<(Fdd, Fdd, OptsKey), Fdd>,
     /// Cumulative absorbing-chain solve gauges (see `LoopSolveStats`).
     loop_stats: LoopSolveStats,
@@ -226,8 +226,8 @@ impl Default for Inner {
 ///
 /// `lumped_blocks < transient_states` measures how much symmetry lumping
 /// collapsed the chains; `sccs` counts components of the condensed
-/// transient graphs (only the `SparseScc` backend reports blocks/SCCs —
-/// other backends count each transient state as its own block).
+/// transient graphs (a solve answered by the dense exact fallback counts
+/// each transient state as its own block and reports no SCCs).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LoopSolveStats {
     /// Absorbing chains actually solved.

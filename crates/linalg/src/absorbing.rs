@@ -9,36 +9,17 @@
 //! ```
 //!
 //! Then the absorption probabilities are `A = (I − Q)^{-1} R`
-//! (equation 2 / Theorem 4.7). This module computes `A` with a pluggable
-//! backend: the sparse LU (production), iterative Gauss–Seidel/Jacobi
-//! (large, very sparse chains), a dense float LU, or *exact* rational
-//! elimination (validation).
+//! (equation 2 / Theorem 4.7). This module computes `A` exactly, over
+//! rationals: [`AbsorbingChain::solve_sparse_scc`] is the production
+//! solve, [`AbsorbingChain::solve_exact`] the dense reference it is
+//! differentially pinned to. [`AbsorbingChain::solve_gauss_seidel`] is a
+//! float approximation for the PRISM-style approximate model checker.
 
 use crate::lump::{refine, Partition};
 use crate::scc::condense;
-use crate::{gauss_seidel, jacobi, DenseMatrix, IterativeOptions, LinalgError, SparseLu, Triplets};
+use crate::{gauss_seidel, DenseMatrix, IterativeOptions, LinalgError, Triplets};
 use mcnetkat_num::Ratio;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-
-/// Which linear-solver backend computes `(I − Q)^{-1} R`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
-pub enum SolverBackend {
-    /// Sparse SCC-decomposed *exact* solve (the production path): the
-    /// transient subgraph is condensed into its SCC DAG and absorption
-    /// probabilities are back-propagated per component in reverse
-    /// topological order, over exact rationals, never materialising a
-    /// zero entry. See [`AbsorbingChain::solve_sparse_scc`].
-    #[default]
-    SparseScc,
-    /// Sparse left-looking LU (the float UMFPACK-replacement path).
-    SparseLu,
-    /// Gauss–Seidel sweeps; good for huge, very sparse chains.
-    GaussSeidel,
-    /// Jacobi fixed-point iteration.
-    Jacobi,
-    /// Dense float LU; only sensible for small chains.
-    DenseLu,
-}
 
 /// An absorbing Markov chain under construction.
 ///
@@ -52,7 +33,7 @@ pub enum SolverBackend {
 /// # Examples
 ///
 /// ```
-/// use mcnetkat_linalg::{AbsorbingChain, SolverBackend};
+/// use mcnetkat_linalg::AbsorbingChain;
 /// use mcnetkat_num::Ratio;
 ///
 /// // Gambler's ruin on {0,1,2} with fair coin: states 0 and 2 absorb.
@@ -61,8 +42,8 @@ pub enum SolverBackend {
 /// chain.set_absorbing(2);
 /// chain.add(1, 0, Ratio::new(1, 2));
 /// chain.add(1, 2, Ratio::new(1, 2));
-/// let sol = chain.solve(SolverBackend::SparseLu).unwrap();
-/// assert!((sol.prob(1, 0) - 0.5).abs() < 1e-12);
+/// let sol = chain.solve_sparse_scc(true).unwrap();
+/// assert_eq!(sol.prob(1, 0), Ratio::new(1, 2));
 /// ```
 #[derive(Clone, Debug)]
 pub struct AbsorbingChain {
@@ -71,7 +52,8 @@ pub struct AbsorbingChain {
     transitions: Vec<(usize, usize, Ratio)>,
 }
 
-/// Absorption probabilities of an [`AbsorbingChain`].
+/// Float absorption probabilities of an [`AbsorbingChain`], from
+/// [`AbsorbingChain::solve_gauss_seidel`].
 #[derive(Clone, Debug)]
 pub struct AbsorptionResult {
     n: usize,
@@ -143,83 +125,39 @@ impl AbsorbingChain {
         Ok(())
     }
 
-    /// Computes the absorption probabilities `A = (I − Q)^{-1} R` with the
-    /// chosen float backend.
+    /// Approximates the absorption probabilities `A = (I − Q)^{-1} R` in
+    /// floats, one Gauss–Seidel solve per absorbing state. The
+    /// approximate model checker's solve; everything exact goes through
+    /// [`AbsorbingChain::solve_sparse_scc`].
+    ///
+    /// A transient state that never absorbs gets an all-zero row.
     ///
     /// # Errors
     ///
-    /// Propagates solver failures; a [`LinalgError::Singular`] typically
-    /// means some transient state cannot reach any absorbing state (the
-    /// chain is not actually absorbing).
-    pub fn solve(&self, backend: SolverBackend) -> Result<AbsorptionResult, LinalgError> {
-        if backend == SolverBackend::SparseScc {
-            // The structured exact path; rounded to floats only here, at
-            // the shared result type.
-            return Ok(self.solve_sparse_scc(false)?.to_result());
-        }
+    /// [`LinalgError::NoConvergence`] when the iteration budget runs out.
+    pub fn solve_gauss_seidel(&self) -> Result<AbsorptionResult, LinalgError> {
         let (transient_ix, absorbing_ix, transients, absorbing_states) = self.partition();
         let nt = transients.len();
         let na = absorbing_states.len();
         let mut q = Triplets::new(nt, nt);
-        let mut r = vec![vec![0.0f64; na]; nt];
+        let mut r = vec![vec![0.0f64; nt]; na];
         for (from, to, p) in &self.transitions {
             let ti = transient_ix[*from];
             let pf = p.to_f64();
             if self.absorbing[*to] {
-                r[ti][absorbing_ix[*to]] += pf;
+                r[absorbing_ix[*to]][ti] += pf;
             } else {
                 q.push(ti, transient_ix[*to], pf);
             }
         }
         let qm = q.to_csr();
-        let probs = match backend {
-            SolverBackend::SparseScc => unreachable!("handled above"),
-            SolverBackend::SparseLu => {
-                // Factor (I - Q) once; back-solve one column of R at a time.
-                let mut iq = Triplets::new(nt, nt);
-                for i in 0..nt {
-                    iq.push(i, i, 1.0);
-                }
-                for i in 0..nt {
-                    for (j, v) in qm.row(i) {
-                        iq.push(i, j, -v);
-                    }
-                }
-                let lu = SparseLu::factor(&iq.to_csr())?;
-                let mut cols = Vec::with_capacity(na);
-                for a in 0..na {
-                    let rhs: Vec<f64> = r.iter().take(nt).map(|row| row[a]).collect();
-                    cols.push(lu.solve(&rhs));
-                }
-                transpose(cols, nt)
-            }
-            SolverBackend::GaussSeidel | SolverBackend::Jacobi => {
-                let opts = IterativeOptions::default();
-                let mut cols = Vec::with_capacity(na);
-                for a in 0..na {
-                    let rhs: Vec<f64> = r.iter().take(nt).map(|row| row[a]).collect();
-                    let x = match backend {
-                        SolverBackend::GaussSeidel => gauss_seidel(&qm, &rhs, opts)?,
-                        _ => jacobi(&qm, &rhs, opts)?,
-                    };
-                    cols.push(x);
-                }
-                transpose(cols, nt)
-            }
-            SolverBackend::DenseLu => {
-                let mut iq = DenseMatrix::<f64>::identity(nt);
-                for i in 0..nt {
-                    for (j, v) in qm.row(i) {
-                        iq.set(i, j, iq.get(i, j) - v);
-                    }
-                }
-                let rhs = DenseMatrix::from_rows(r.clone());
-                let x = iq.solve_multi(&rhs)?;
-                (0..nt)
-                    .map(|i| (0..na).map(|j| *x.get(i, j)).collect())
-                    .collect()
-            }
-        };
+        let cols = r
+            .iter()
+            .map(|rhs| gauss_seidel(&qm, rhs, IterativeOptions::default()))
+            .collect::<Result<Vec<_>, _>>()?;
+        let probs = (0..nt)
+            .map(|t| cols.iter().map(|col| col[t]).collect())
+            .collect();
         Ok(AbsorptionResult {
             n: self.n,
             transient_ix,
@@ -230,20 +168,20 @@ impl AbsorbingChain {
     }
 
     /// Computes the absorption probabilities exactly, over rationals, with
-    /// dense Gaussian elimination. Exponentially slower than [`solve`] but
-    /// bit-for-bit exact; used to validate the float pipeline.
-    ///
-    /// [`solve`]: AbsorbingChain::solve
+    /// dense Gaussian elimination over the whole transient set. The
+    /// reference [`AbsorbingChain::solve_sparse_scc`] is tested against,
+    /// and the loop compiler's last fallback rung.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`AbsorbingChain::solve`].
+    /// [`LinalgError::Singular`] when some transient state cannot reach
+    /// any absorbing state (the chain is not actually absorbing).
     pub fn solve_exact(&self) -> Result<Vec<Vec<Ratio>>, LinalgError> {
         let (transient_ix, absorbing_ix, transients, absorbing_states) = self.partition();
         let nt = transients.len();
         let na = absorbing_states.len();
-        let mut iq = DenseMatrix::<Ratio>::identity(nt);
-        let mut r = DenseMatrix::<Ratio>::zeros(nt, na);
+        let mut iq = DenseMatrix::identity(nt);
+        let mut r = DenseMatrix::zeros(nt, na);
         for (from, to, p) in &self.transitions {
             let ti = transient_ix[*from];
             if self.absorbing[*to] {
@@ -438,13 +376,6 @@ impl AbsorbingChain {
     }
 }
 
-fn transpose(cols: Vec<Vec<f64>>, nt: usize) -> Vec<Vec<f64>> {
-    let na = cols.len();
-    (0..nt)
-        .map(|t| (0..na).map(|a| cols[a][t]).collect())
-        .collect()
-}
-
 /// Sorts a sparse row by target, sums duplicate targets, drops zeros.
 fn merge_row(row: &mut Vec<(usize, Ratio)>) {
     row.sort_unstable_by_key(|(t, _)| *t);
@@ -510,7 +441,7 @@ fn solve_component(
     // reaches.
     let k = comp.len();
     let pos: HashMap<usize, usize> = comp.iter().enumerate().map(|(i, &s)| (s, i)).collect();
-    let mut a = DenseMatrix::<Ratio>::identity(k);
+    let mut a = DenseMatrix::identity(k);
     let mut bases: Vec<BTreeMap<usize, Ratio>> = vec![BTreeMap::new(); k];
     for (li, &s) in comp.iter().enumerate() {
         for (t, p) in &qrows[s] {
@@ -538,7 +469,7 @@ fn solve_component(
         return Err(LinalgError::Singular(comp[0]));
     }
     let col_ix: HashMap<usize, usize> = cols.iter().enumerate().map(|(i, &c)| (c, i)).collect();
-    let mut rhs = DenseMatrix::<Ratio>::zeros(k, cols.len());
+    let mut rhs = DenseMatrix::zeros(k, cols.len());
     for (li, base) in bases.iter().enumerate() {
         for (aix, p) in base {
             rhs.set(li, col_ix[aix], p.clone());
@@ -646,22 +577,6 @@ impl SparseAbsorption {
             })
             .collect()
     }
-
-    /// Rounds into the float [`AbsorptionResult`] shared by every
-    /// [`SolverBackend`].
-    pub fn to_result(&self) -> AbsorptionResult {
-        AbsorptionResult {
-            n: self.n,
-            transient_ix: self.transient_ix.clone(),
-            absorbing_ix: self.absorbing_ix.clone(),
-            absorbing_states: self.absorbing_states.clone(),
-            probs: self
-                .to_dense()
-                .into_iter()
-                .map(|row| row.into_iter().map(|p| p.to_f64()).collect())
-                .collect(),
-        }
-    }
 }
 
 impl AbsorptionResult {
@@ -701,14 +616,9 @@ impl AbsorptionResult {
 mod tests {
     use super::*;
 
-    fn backends() -> [SolverBackend; 5] {
-        [
-            SolverBackend::SparseScc,
-            SolverBackend::SparseLu,
-            SolverBackend::GaussSeidel,
-            SolverBackend::Jacobi,
-            SolverBackend::DenseLu,
-        ]
+    /// The exact solves: the sparse SCC solve with lumping off and on.
+    fn sparse_solves(chain: &AbsorbingChain) -> [SparseAbsorption; 2] {
+        [false, true].map(|lumping| chain.solve_sparse_scc(lumping).unwrap())
     }
 
     #[test]
@@ -788,23 +698,32 @@ mod tests {
     fn gamblers_ruin_all_backends() {
         // States 0..=4; 0 and 4 absorb; fair coin. Classic result:
         // P(absorb at 4 | start i) = i/4.
-        for backend in backends() {
-            let mut chain = AbsorbingChain::new(5);
-            chain.set_absorbing(0);
-            chain.set_absorbing(4);
-            for i in 1..4 {
-                chain.add(i, i - 1, Ratio::new(1, 2));
-                chain.add(i, i + 1, Ratio::new(1, 2));
+        let mut chain = AbsorbingChain::new(5);
+        chain.set_absorbing(0);
+        chain.set_absorbing(4);
+        for i in 1..4 {
+            chain.add(i, i - 1, Ratio::new(1, 2));
+            chain.add(i, i + 1, Ratio::new(1, 2));
+        }
+        chain.validate().unwrap();
+        let exact = chain.solve_exact().unwrap();
+        let sparse = sparse_solves(&chain);
+        let float = chain.solve_gauss_seidel().unwrap();
+        for i in 1..4usize {
+            let up = Ratio::new(i as i64, 4);
+            let down = &Ratio::one() - &up;
+            // Transient rank of state i is i - 1; absorbing ranks 0 → 0, 4 → 1.
+            assert_eq!(
+                exact[i - 1],
+                vec![down.clone(), up.clone()],
+                "exact start {i}"
+            );
+            for sol in &sparse {
+                assert_eq!(sol.prob(i, 4), up, "sparse start {i}");
+                assert_eq!(sol.prob(i, 0), down, "sparse start {i}");
             }
-            chain.validate().unwrap();
-            let sol = chain.solve(backend).unwrap();
-            for i in 1..4 {
-                assert!(
-                    (sol.prob(i, 4) - i as f64 / 4.0).abs() < 1e-9,
-                    "{backend:?} start {i}"
-                );
-                assert!((sol.prob(i, 0) - (1.0 - i as f64 / 4.0)).abs() < 1e-9);
-            }
+            assert!((float.prob(i, 4) - up.to_f64()).abs() < 1e-9, "start {i}");
+            assert!((float.prob(i, 0) - down.to_f64()).abs() < 1e-9, "start {i}");
         }
     }
 
@@ -818,7 +737,7 @@ mod tests {
         chain.add(2, 0, Ratio::new(1, 2));
         chain.add(2, 3, Ratio::new(1, 2));
         let exact = chain.solve_exact().unwrap();
-        let float = chain.solve(SolverBackend::SparseLu).unwrap();
+        let float = chain.solve_gauss_seidel().unwrap();
         // Single absorbing state: everything absorbs there with prob 1.
         for row in &exact {
             assert_eq!(row[0], Ratio::one());
@@ -835,10 +754,11 @@ mod tests {
         chain.set_absorbing(1);
         chain.add(0, 0, Ratio::new(1, 2));
         chain.add(0, 1, Ratio::new(1, 2));
-        for backend in backends() {
-            let sol = chain.solve(backend).unwrap();
-            assert!((sol.prob(0, 1) - 1.0).abs() < 1e-9, "{backend:?}");
+        for sol in sparse_solves(&chain) {
+            assert_eq!(sol.prob(0, 1), Ratio::one());
         }
+        let float = chain.solve_gauss_seidel().unwrap();
+        assert!((float.prob(0, 1) - 1.0).abs() < 1e-9);
         assert_eq!(chain.solve_exact().unwrap()[0][0], Ratio::one());
     }
 
@@ -850,9 +770,13 @@ mod tests {
         chain.set_absorbing(2);
         chain.add(0, 1, Ratio::new(1, 4));
         chain.add(0, 2, Ratio::new(3, 4));
-        let sol = chain.solve(SolverBackend::SparseLu).unwrap();
-        assert!((sol.prob(0, 1) - 0.25).abs() < 1e-12);
-        assert!((sol.prob(0, 2) - 0.75).abs() < 1e-12);
+        for sol in sparse_solves(&chain) {
+            assert_eq!(sol.prob(0, 1), Ratio::new(1, 4));
+            assert_eq!(sol.prob(0, 2), Ratio::new(3, 4));
+        }
+        let float = chain.solve_gauss_seidel().unwrap();
+        assert!((float.prob(0, 1) - 0.25).abs() < 1e-12);
+        assert!((float.prob(0, 2) - 0.75).abs() < 1e-12);
         let exact = chain.solve_exact().unwrap();
         assert_eq!(exact[0], vec![Ratio::new(1, 4), Ratio::new(3, 4)]);
     }
@@ -862,9 +786,13 @@ mod tests {
         let mut chain = AbsorbingChain::new(2);
         chain.set_absorbing(0);
         chain.set_absorbing(1);
-        let sol = chain.solve(SolverBackend::DenseLu).unwrap();
-        assert_eq!(sol.prob(0, 0), 1.0);
-        assert_eq!(sol.prob(0, 1), 0.0);
+        for sol in sparse_solves(&chain) {
+            assert_eq!(sol.prob(0, 0), Ratio::one());
+            assert_eq!(sol.prob(0, 1), Ratio::zero());
+        }
+        let float = chain.solve_gauss_seidel().unwrap();
+        assert_eq!(float.prob(0, 0), 1.0);
+        assert_eq!(float.prob(0, 1), 0.0);
     }
 
     #[test]
@@ -894,9 +822,15 @@ mod tests {
                 }
             }
             chain.validate().unwrap();
-            let sol = chain.solve(SolverBackend::SparseLu).unwrap();
+            for sol in sparse_solves(&chain) {
+                for t in 0..sol.num_transient() {
+                    let sum: Ratio = sol.sparse_row(t).iter().map(|(_, p)| p.clone()).sum();
+                    assert_eq!(sum, Ratio::one(), "transient rank {t}");
+                }
+            }
+            let float = chain.solve_gauss_seidel().unwrap();
             for s in 0..n - 1 {
-                let sum: f64 = sol.row(s).iter().map(|(_, p)| p).sum();
+                let sum: f64 = float.row(s).iter().map(|(_, p)| p).sum();
                 assert!((sum - 1.0).abs() < 1e-9, "row {s} sums to {sum}");
             }
         }

@@ -1,31 +1,34 @@
-//! Dense matrices with generic Gaussian elimination.
+//! Dense exact matrices with Gaussian elimination.
 
-use crate::{LinalgError, Scalar};
+use crate::LinalgError;
+use mcnetkat_num::Ratio;
 
-/// A row-major dense matrix over any [`Scalar`].
+/// A row-major dense matrix of exact rationals.
 ///
 /// # Examples
 ///
 /// ```
 /// use mcnetkat_linalg::DenseMatrix;
-/// let a = DenseMatrix::from_rows(vec![vec![2.0, 0.0], vec![0.0, 4.0]]);
-/// let x = a.solve(&[2.0, 8.0]).unwrap();
-/// assert_eq!(x, vec![1.0, 2.0]);
+/// use mcnetkat_num::Ratio;
+/// let r = |n| Ratio::from_integer(n);
+/// let a = DenseMatrix::from_rows(vec![vec![r(2), r(0)], vec![r(0), r(4)]]);
+/// let x = a.solve(&[r(2), r(8)]).unwrap();
+/// assert_eq!(x, vec![r(1), r(2)]);
 /// ```
 #[derive(Clone, PartialEq, Debug)]
-pub struct DenseMatrix<T> {
+pub struct DenseMatrix {
     rows: usize,
     cols: usize,
-    data: Vec<T>,
+    data: Vec<Ratio>,
 }
 
-impl<T: Scalar> DenseMatrix<T> {
+impl DenseMatrix {
     /// The `rows × cols` zero matrix.
     pub fn zeros(rows: usize, cols: usize) -> Self {
         DenseMatrix {
             rows,
             cols,
-            data: vec![T::zero(); rows * cols],
+            data: vec![Ratio::zero(); rows * cols],
         }
     }
 
@@ -33,7 +36,7 @@ impl<T: Scalar> DenseMatrix<T> {
     pub fn identity(n: usize) -> Self {
         let mut m = Self::zeros(n, n);
         for i in 0..n {
-            m.set(i, i, T::one());
+            m.set(i, i, Ratio::one());
         }
         m
     }
@@ -43,7 +46,7 @@ impl<T: Scalar> DenseMatrix<T> {
     /// # Panics
     ///
     /// Panics if the rows are ragged.
-    pub fn from_rows(rows: Vec<Vec<T>>) -> Self {
+    pub fn from_rows(rows: Vec<Vec<Ratio>>) -> Self {
         let nrows = rows.len();
         let ncols = rows.first().map_or(0, Vec::len);
         assert!(
@@ -68,12 +71,12 @@ impl<T: Scalar> DenseMatrix<T> {
     }
 
     /// Reads entry `(i, j)`.
-    pub fn get(&self, i: usize, j: usize) -> &T {
+    pub fn get(&self, i: usize, j: usize) -> &Ratio {
         &self.data[i * self.cols + j]
     }
 
     /// Writes entry `(i, j)`.
-    pub fn set(&mut self, i: usize, j: usize, v: T) {
+    pub fn set(&mut self, i: usize, j: usize, v: Ratio) {
         self.data[i * self.cols + j] = v;
     }
 
@@ -82,9 +85,9 @@ impl<T: Scalar> DenseMatrix<T> {
     /// # Panics
     ///
     /// Panics on dimension mismatch.
-    pub fn matmul(&self, other: &DenseMatrix<T>) -> DenseMatrix<T> {
+    pub fn matmul(&self, other: &DenseMatrix) -> DenseMatrix {
         assert_eq!(self.cols, other.rows, "matmul dimension mismatch");
-        let mut out = DenseMatrix::<T>::zeros(self.rows, other.cols);
+        let mut out = DenseMatrix::zeros(self.rows, other.cols);
         for i in 0..self.rows {
             for k in 0..self.cols {
                 let a = self.get(i, k);
@@ -92,8 +95,7 @@ impl<T: Scalar> DenseMatrix<T> {
                     continue;
                 }
                 for j in 0..other.cols {
-                    let prod = a.mul(other.get(k, j));
-                    let cur = out.get(i, j).add(&prod);
+                    let cur = out.get(i, j) + &(a * other.get(k, j));
                     out.set(i, j, cur);
                 }
             }
@@ -102,26 +104,26 @@ impl<T: Scalar> DenseMatrix<T> {
     }
 
     /// Matrix–vector product.
-    pub fn matvec(&self, v: &[T]) -> Vec<T> {
+    pub fn matvec(&self, v: &[Ratio]) -> Vec<Ratio> {
         assert_eq!(self.cols, v.len(), "matvec dimension mismatch");
         (0..self.rows)
             .map(|i| {
-                let mut acc = T::zero();
+                let mut acc = Ratio::zero();
                 for (j, vj) in v.iter().enumerate() {
-                    acc = acc.add(&self.get(i, j).mul(vj));
+                    acc += &(self.get(i, j) * vj);
                 }
                 acc
             })
             .collect()
     }
 
-    /// Solves `A x = b` by Gaussian elimination with partial pivoting.
+    /// Solves `A x = b` by Gaussian elimination.
     ///
     /// # Errors
     ///
-    /// Returns [`LinalgError::Singular`] when no usable pivot exists and
+    /// Returns [`LinalgError::Singular`] when no non-zero pivot exists and
     /// [`LinalgError::DimensionMismatch`] when `b` has the wrong length.
-    pub fn solve(&self, b: &[T]) -> Result<Vec<T>, LinalgError> {
+    pub fn solve(&self, b: &[Ratio]) -> Result<Vec<Ratio>, LinalgError> {
         let rhs = DenseMatrix {
             rows: b.len(),
             cols: 1,
@@ -133,10 +135,15 @@ impl<T: Scalar> DenseMatrix<T> {
 
     /// Solves `A X = B` for a matrix of right-hand sides.
     ///
+    /// Arithmetic is exact, so any non-zero pivot is as good as any other
+    /// for correctness; each column takes the first non-zero entry at or
+    /// below the diagonal, which leaves the rows of an `I − Q` system
+    /// (non-zero diagonal) in place.
+    ///
     /// # Errors
     ///
     /// See [`DenseMatrix::solve`].
-    pub fn solve_multi(&self, b: &DenseMatrix<T>) -> Result<DenseMatrix<T>, LinalgError> {
+    pub fn solve_multi(&self, b: &DenseMatrix) -> Result<DenseMatrix, LinalgError> {
         if self.rows != self.cols || b.rows != self.rows {
             return Err(LinalgError::DimensionMismatch);
         }
@@ -144,41 +151,25 @@ impl<T: Scalar> DenseMatrix<T> {
         let mut a = self.clone();
         let mut x = b.clone();
         for k in 0..n {
-            // Partial pivoting: pick the row with the largest magnitude.
             let pivot_row = (k..n)
-                .max_by(|&i, &j| {
-                    a.get(i, k)
-                        .pivot_magnitude()
-                        .total_cmp(&a.get(j, k).pivot_magnitude())
-                })
-                .unwrap();
-            if !a.get(pivot_row, k).is_usable_pivot() {
-                return Err(LinalgError::Singular(k));
-            }
+                .find(|&i| !a.get(i, k).is_zero())
+                .ok_or(LinalgError::Singular(k))?;
             if pivot_row != k {
-                for j in 0..n {
-                    let tmp = a.get(k, j).clone();
-                    a.set(k, j, a.get(pivot_row, j).clone());
-                    a.set(pivot_row, j, tmp);
-                }
-                for j in 0..x.cols {
-                    let tmp = x.get(k, j).clone();
-                    x.set(k, j, x.get(pivot_row, j).clone());
-                    x.set(pivot_row, j, tmp);
-                }
+                a.swap_rows(k, pivot_row);
+                x.swap_rows(k, pivot_row);
             }
             let pivot = a.get(k, k).clone();
             for i in (k + 1)..n {
-                let factor = a.get(i, k).div(&pivot);
+                let factor = a.get(i, k) / &pivot;
                 if factor.is_zero() {
                     continue;
                 }
                 for j in k..n {
-                    let v = a.get(i, j).sub(&factor.mul(a.get(k, j)));
+                    let v = a.get(i, j) - &(&factor * a.get(k, j));
                     a.set(i, j, v);
                 }
                 for j in 0..x.cols {
-                    let v = x.get(i, j).sub(&factor.mul(x.get(k, j)));
+                    let v = x.get(i, j) - &(&factor * x.get(k, j));
                     x.set(i, j, v);
                 }
             }
@@ -189,85 +180,86 @@ impl<T: Scalar> DenseMatrix<T> {
             for j in 0..x.cols {
                 let mut acc = x.get(k, j).clone();
                 for m in (k + 1)..n {
-                    acc = acc.sub(&a.get(k, m).mul(x.get(m, j)));
+                    acc -= &(a.get(k, m) * x.get(m, j));
                 }
-                x.set(k, j, acc.div(&pivot));
+                x.set(k, j, &acc / &pivot);
             }
         }
         Ok(x)
+    }
+
+    fn swap_rows(&mut self, i: usize, j: usize) {
+        for c in 0..self.cols {
+            self.data.swap(i * self.cols + c, j * self.cols + c);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcnetkat_num::Ratio;
 
-    #[test]
-    fn identity_solves_trivially() {
-        let a = DenseMatrix::<f64>::identity(3);
-        let x = a.solve(&[1.0, 2.0, 3.0]).unwrap();
-        assert_eq!(x, vec![1.0, 2.0, 3.0]);
+    fn r(n: i64) -> Ratio {
+        Ratio::from_integer(n)
+    }
+
+    fn m(rows: &[&[i64]]) -> DenseMatrix {
+        DenseMatrix::from_rows(
+            rows.iter()
+                .map(|row| row.iter().map(|&v| r(v)).collect())
+                .collect(),
+        )
     }
 
     #[test]
-    fn solves_small_float_system() {
-        // [[2,1],[1,3]] x = [3,5] → x = [4/5, 7/5]
-        let a = DenseMatrix::from_rows(vec![vec![2.0, 1.0], vec![1.0, 3.0]]);
-        let x = a.solve(&[3.0, 5.0]).unwrap();
-        assert!((x[0] - 0.8).abs() < 1e-12);
-        assert!((x[1] - 1.4).abs() < 1e-12);
+    fn identity_solves_trivially() {
+        let a = DenseMatrix::identity(3);
+        let x = a.solve(&[r(1), r(2), r(3)]).unwrap();
+        assert_eq!(x, vec![r(1), r(2), r(3)]);
     }
 
     #[test]
     fn solves_exactly_over_rationals() {
-        let r = |n, d| Ratio::new(n, d);
-        let a = DenseMatrix::from_rows(vec![vec![r(2, 1), r(1, 1)], vec![r(1, 1), r(3, 1)]]);
-        let x = a.solve(&[r(3, 1), r(5, 1)]).unwrap();
-        assert_eq!(x, vec![r(4, 5), r(7, 5)]);
+        // [[2,1],[1,3]] x = [3,5] → x = [4/5, 7/5]
+        let a = m(&[&[2, 1], &[1, 3]]);
+        let x = a.solve(&[r(3), r(5)]).unwrap();
+        assert_eq!(x, vec![Ratio::new(4, 5), Ratio::new(7, 5)]);
     }
 
     #[test]
     fn pivoting_handles_zero_diagonal() {
-        let a = DenseMatrix::from_rows(vec![vec![0.0, 1.0], vec![1.0, 0.0]]);
-        let x = a.solve(&[2.0, 3.0]).unwrap();
-        assert_eq!(x, vec![3.0, 2.0]);
+        let a = m(&[&[0, 1], &[1, 0]]);
+        let x = a.solve(&[r(2), r(3)]).unwrap();
+        assert_eq!(x, vec![r(3), r(2)]);
     }
 
     #[test]
     fn singular_matrix_is_reported() {
-        let a = DenseMatrix::from_rows(vec![vec![1.0, 2.0], vec![2.0, 4.0]]);
+        let a = m(&[&[1, 2], &[2, 4]]);
         assert!(matches!(
-            a.solve(&[1.0, 2.0]),
+            a.solve(&[r(1), r(2)]),
             Err(LinalgError::Singular(_))
         ));
     }
 
     #[test]
     fn matmul_matches_by_hand() {
-        let a = DenseMatrix::from_rows(vec![vec![1.0, 2.0], vec![3.0, 4.0]]);
-        let b = DenseMatrix::from_rows(vec![vec![5.0, 6.0], vec![7.0, 8.0]]);
-        let c = a.matmul(&b);
-        assert_eq!(
-            c,
-            DenseMatrix::from_rows(vec![vec![19.0, 22.0], vec![43.0, 50.0]])
-        );
+        let a = m(&[&[1, 2], &[3, 4]]);
+        let b = m(&[&[5, 6], &[7, 8]]);
+        assert_eq!(a.matmul(&b), m(&[&[19, 22], &[43, 50]]));
     }
 
     #[test]
     fn matvec_matches_by_hand() {
-        let a = DenseMatrix::from_rows(vec![vec![1.0, 2.0], vec![3.0, 4.0]]);
-        assert_eq!(a.matvec(&[1.0, 1.0]), vec![3.0, 7.0]);
+        let a = m(&[&[1, 2], &[3, 4]]);
+        assert_eq!(a.matvec(&[r(1), r(1)]), vec![r(3), r(7)]);
     }
 
     #[test]
     fn solve_multi_many_rhs() {
-        let a = DenseMatrix::from_rows(vec![vec![2.0, 0.0], vec![0.0, 4.0]]);
-        let b = DenseMatrix::from_rows(vec![vec![2.0, 4.0], vec![8.0, 12.0]]);
+        let a = m(&[&[2, 0], &[0, 4]]);
+        let b = m(&[&[2, 4], &[8, 12]]);
         let x = a.solve_multi(&b).unwrap();
-        assert_eq!(
-            x,
-            DenseMatrix::from_rows(vec![vec![1.0, 2.0], vec![2.0, 3.0]])
-        );
+        assert_eq!(x, m(&[&[1, 2], &[2, 3]]));
     }
 }

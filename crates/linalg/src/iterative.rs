@@ -2,13 +2,14 @@
 //!
 //! For absorbing chains the spectral radius of `Q` is strictly below one
 //! (Lemma B.3 of the paper), so the fixed-point iteration `x ← Q x + b`
-//! converges geometrically. Jacobi is exactly that iteration; Gauss–Seidel
-//! reuses fresh values within a sweep and typically converges about twice
-//! as fast.
+//! converges geometrically. Gauss–Seidel runs that iteration in place,
+//! reusing fresh values within a sweep. It is the float solve behind the
+//! PRISM-style approximate model checker; loop compilation is exact and
+//! never uses it.
 
 use crate::{CsrMatrix, LinalgError};
 
-/// Convergence controls for the iterative solvers.
+/// Convergence controls for [`gauss_seidel`].
 #[derive(Clone, Copy, Debug)]
 pub struct IterativeOptions {
     /// Give up after this many sweeps.
@@ -26,43 +27,12 @@ impl Default for IterativeOptions {
     }
 }
 
-/// Solves `(I − Q) x = b` by Jacobi iteration `x ← Q x + b`.
+/// Solves `(I − Q) x = b` by Gauss–Seidel sweeps.
 ///
 /// # Errors
 ///
 /// Returns [`LinalgError::DimensionMismatch`] if shapes disagree and
 /// [`LinalgError::NoConvergence`] when the budget runs out.
-pub fn jacobi(q: &CsrMatrix, b: &[f64], opts: IterativeOptions) -> Result<Vec<f64>, LinalgError> {
-    if q.nrows() != q.ncols() || q.nrows() != b.len() {
-        return Err(LinalgError::DimensionMismatch);
-    }
-    let mut x = b.to_vec();
-    for it in 0..opts.max_iters {
-        let qx = q.matvec(&x);
-        let mut delta = 0.0f64;
-        for i in 0..x.len() {
-            let next = qx[i] + b[i];
-            delta = delta.max((next - x[i]).abs());
-            x[i] = next;
-        }
-        if delta <= opts.tolerance {
-            return Ok(x);
-        }
-        if it + 1 == opts.max_iters {
-            return Err(LinalgError::NoConvergence {
-                iterations: opts.max_iters,
-                residual: delta,
-            });
-        }
-    }
-    Ok(x)
-}
-
-/// Solves `(I − Q) x = b` by Gauss–Seidel sweeps.
-///
-/// # Errors
-///
-/// Same conditions as [`jacobi`].
 pub fn gauss_seidel(
     q: &CsrMatrix,
     b: &[f64],
@@ -113,6 +83,7 @@ pub fn gauss_seidel(
 mod tests {
     use super::*;
     use crate::Triplets;
+    use mcnetkat_num::Ratio;
 
     fn chain_q(n: usize, p: f64) -> CsrMatrix {
         // Random-walk-style Q: state i moves to i+1 with prob p (last state
@@ -125,11 +96,11 @@ mod tests {
     }
 
     #[test]
-    fn jacobi_solves_chain() {
+    fn gauss_seidel_solves_chain() {
         let q = chain_q(4, 0.5);
         // (I-Q)x = b with b = reach-probability into absorbing state.
         let b = vec![0.5, 0.5, 0.5, 1.0];
-        let x = jacobi(&q, &b, IterativeOptions::default()).unwrap();
+        let x = gauss_seidel(&q, &b, IterativeOptions::default()).unwrap();
         // x_i = b_i + 0.5 x_{i+1}
         assert!((x[3] - 1.0).abs() < 1e-10);
         assert!((x[2] - 1.0).abs() < 1e-10);
@@ -137,13 +108,16 @@ mod tests {
     }
 
     #[test]
-    fn gauss_seidel_matches_jacobi() {
+    fn gauss_seidel_matches_exact() {
+        // x_i = b_i + 0.9 x_{i+1}, solved backwards in exact arithmetic.
         let q = chain_q(10, 0.9);
         let b: Vec<f64> = (0..10).map(|i| 0.1 * (i as f64 + 1.0)).collect();
-        let xj = jacobi(&q, &b, IterativeOptions::default()).unwrap();
         let xg = gauss_seidel(&q, &b, IterativeOptions::default()).unwrap();
-        for (a, b) in xj.iter().zip(&xg) {
-            assert!((a - b).abs() < 1e-9);
+        let mut next = Ratio::zero();
+        for i in (0..10).rev() {
+            let exact = &Ratio::new(i as i64 + 1, 10) + &(&Ratio::new(9, 10) * &next);
+            assert!((xg[i] - exact.to_f64()).abs() < 1e-9, "x[{i}]");
+            next = exact;
         }
     }
 
@@ -165,7 +139,7 @@ mod tests {
     fn reports_no_convergence_for_tiny_budget() {
         let q = chain_q(50, 0.999);
         let b = vec![0.001; 50];
-        let err = jacobi(
+        let err = gauss_seidel(
             &q,
             &b,
             IterativeOptions {
@@ -180,7 +154,7 @@ mod tests {
     fn dimension_mismatch_is_reported() {
         let q = chain_q(3, 0.5);
         assert!(matches!(
-            jacobi(&q, &[1.0, 2.0], IterativeOptions::default()),
+            gauss_seidel(&q, &[1.0, 2.0], IterativeOptions::default()),
             Err(LinalgError::DimensionMismatch)
         ));
     }

@@ -1,21 +1,67 @@
-//! Table-driven backend parity: every [`SolverBackend`] must produce the
-//! same [`AbsorptionResult`] over a set of named fixtures chosen to
+//! Table-driven solver parity: every loop solver must produce the same
+//! absorption probabilities over a set of named fixtures chosen to
 //! exercise the structural corners — self-loops, disconnected transient
 //! islands with separate absorbing classes, and explicitly-added
-//! zero-probability edges. Probabilities must agree within 1e-9 and the
-//! absorbing-state sets must be identical; the exact dense solve is the
-//! reference.
+//! zero-probability edges. The exact dense solve is the reference: the
+//! sparse SCC solve (lumping off and on) must equal it exactly, the
+//! Gauss–Seidel approximation must agree within 1e-9, and every solver
+//! must report the same absorbing-state set.
 
-use mcnetkat_linalg::{AbsorbingChain, SolverBackend};
+use mcnetkat_linalg::AbsorbingChain;
 use mcnetkat_num::Ratio;
 
-const BACKENDS: [SolverBackend; 5] = [
-    SolverBackend::SparseScc,
-    SolverBackend::SparseLu,
-    SolverBackend::GaussSeidel,
-    SolverBackend::Jacobi,
-    SolverBackend::DenseLu,
+#[derive(Clone, Copy, Debug)]
+enum Solver {
+    SparseScc { lumping: bool },
+    GaussSeidel,
+}
+
+const SOLVERS: [Solver; 3] = [
+    Solver::SparseScc { lumping: false },
+    Solver::SparseScc { lumping: true },
+    Solver::GaussSeidel,
 ];
+
+/// A solver's answer: its absorbing states, in rank order, and
+/// `probs[s][k]`, the probability that state `s` (original id) absorbs in
+/// the `k`-th of them.
+struct Answer {
+    absorbing: Vec<usize>,
+    probs: Vec<Vec<f64>>,
+}
+
+fn solve(name: &str, chain: &AbsorbingChain, solver: Solver) -> Answer {
+    let n = chain.len();
+    let (absorbing, probs): (Vec<usize>, Vec<Vec<f64>>) = match solver {
+        Solver::SparseScc { lumping } => {
+            let sol = chain
+                .solve_sparse_scc(lumping)
+                .unwrap_or_else(|e| panic!("fixture {name}: {solver:?} failed: {e:?}"));
+            let exact = chain.solve_exact().unwrap();
+            assert_eq!(
+                sol.to_dense(),
+                exact,
+                "fixture {name}: {solver:?} not exact"
+            );
+            let abs = sol.absorbing_states().to_vec();
+            let probs = (0..n)
+                .map(|s| abs.iter().map(|&a| sol.prob(s, a).to_f64()).collect())
+                .collect();
+            (abs, probs)
+        }
+        Solver::GaussSeidel => {
+            let sol = chain
+                .solve_gauss_seidel()
+                .unwrap_or_else(|e| panic!("fixture {name}: {solver:?} failed: {e:?}"));
+            let abs = sol.absorbing_states().to_vec();
+            let probs = (0..n)
+                .map(|s| abs.iter().map(|&a| sol.prob(s, a)).collect())
+                .collect();
+            (abs, probs)
+        }
+    };
+    Answer { absorbing, probs }
+}
 
 /// A lazy gambler's ruin: every transient state self-loops with ½ and
 /// otherwise moves one step towards ruin (3) or fortune (4).
@@ -101,31 +147,28 @@ fn every_backend_agrees_on_every_fixture() {
         });
         let n = chain.len();
         let nt = exact.len();
-        for backend in BACKENDS {
-            let result = chain
-                .solve(backend)
-                .unwrap_or_else(|e| panic!("fixture {name}: {backend:?} failed: {e:?}"));
+        for solver in SOLVERS {
+            let answer = solve(name, &chain, solver);
             // Identical absorbing-state sets, in the same compact order.
             let absorbing: Vec<usize> = (nt..n).collect();
             assert_eq!(
-                result.absorbing_states(),
-                &absorbing[..],
-                "fixture {name}: {backend:?} absorbing set"
+                answer.absorbing, absorbing,
+                "fixture {name}: {solver:?} absorbing set"
             );
             // Identical probabilities, for transient *and* absorbing rows
             // (state ids, not row positions — absorbing rows have no
             // `exact` entry and must read back as point masses).
             for s in 0..n {
-                for &a in &absorbing {
+                for (k, &a) in absorbing.iter().enumerate() {
                     let want = match exact.get(s) {
                         Some(row) => row[a - nt].to_f64(),
                         None if s == a => 1.0,
                         None => 0.0,
                     };
-                    let got = result.prob(s, a);
+                    let got = answer.probs[s][k];
                     assert!(
                         (want - got).abs() < 1e-9,
-                        "fixture {name}: {backend:?} prob({s}, {a}) = {got}, want {want}"
+                        "fixture {name}: {solver:?} prob({s}, {a}) = {got}, want {want}"
                     );
                 }
             }
@@ -134,18 +177,30 @@ fn every_backend_agrees_on_every_fixture() {
 }
 
 /// Absorption is total on every fixture: each transient row of every
-/// backend sums to 1 (nothing is trapped, nothing leaks).
+/// solver sums to 1 (nothing is trapped, nothing leaks) — exactly, for
+/// the exact solves.
 #[test]
 fn every_backend_conserves_mass() {
     for (name, chain) in fixtures() {
-        for backend in BACKENDS {
-            let result = chain.solve(backend).unwrap();
-            let nt = chain.len() - result.absorbing_states().len();
+        for lumping in [false, true] {
+            let sol = chain.solve_sparse_scc(lumping).unwrap();
+            for t in 0..sol.num_transient() {
+                let mass: Ratio = sol.sparse_row(t).iter().map(|(_, p)| p.clone()).sum();
+                assert_eq!(
+                    mass,
+                    Ratio::one(),
+                    "fixture {name}: lumping={lumping} rank {t}"
+                );
+            }
+        }
+        for solver in SOLVERS {
+            let answer = solve(name, &chain, solver);
+            let nt = chain.len() - answer.absorbing.len();
             for s in 0..nt {
-                let mass: f64 = result.row(s).iter().map(|(_, p)| p).sum();
+                let mass: f64 = answer.probs[s].iter().sum();
                 assert!(
                     (mass - 1.0).abs() < 1e-9,
-                    "fixture {name}: {backend:?} row {s} mass {mass}"
+                    "fixture {name}: {solver:?} row {s} mass {mass}"
                 );
             }
         }

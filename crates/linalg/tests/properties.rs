@@ -1,11 +1,8 @@
 //! Property-based tests for the linear-algebra substrate: solver
-//! agreement across backends, absorption-probability invariants, and
-//! LU correctness on random systems.
+//! agreement with the exact reference, absorption-probability
+//! invariants, and exact dense elimination on random systems.
 
-use mcnetkat_linalg::{
-    gauss_seidel, jacobi, AbsorbingChain, DenseMatrix, IterativeOptions, SolverBackend, SparseLu,
-    Triplets,
-};
+use mcnetkat_linalg::{gauss_seidel, AbsorbingChain, DenseMatrix, IterativeOptions, Triplets};
 use mcnetkat_num::Ratio;
 use proptest::prelude::*;
 
@@ -34,27 +31,25 @@ fn arb_chain() -> impl Strategy<Value = AbsorbingChain> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// All float backends agree with the exact rational solve.
+    /// Every solver agrees with the dense exact rational solve: the
+    /// sparse SCC solve exactly (lumping on and off), Gauss–Seidel within
+    /// float tolerance.
     #[test]
     fn backends_agree_with_exact(chain in arb_chain()) {
         chain.validate().unwrap();
         let exact = chain.solve_exact().unwrap();
-        for backend in [
-            SolverBackend::SparseLu,
-            SolverBackend::GaussSeidel,
-            SolverBackend::Jacobi,
-            SolverBackend::DenseLu,
-        ] {
-            let float = chain.solve(backend).unwrap();
-            let n = chain.len();
-            // Transient states are 0..n-2, so state id and transient rank
-            // coincide here.
-            for (s, row) in exact.iter().enumerate().take(n - 2) {
-                for (col, &a) in [n - 2, n - 1].iter().enumerate() {
-                    let e = row[col].to_f64();
-                    let f = float.prob(s, a);
-                    prop_assert!((e - f).abs() < 1e-8, "{backend:?} s={s} a={a}: {e} vs {f}");
-                }
+        for lumping in [false, true] {
+            prop_assert_eq!(&chain.solve_sparse_scc(lumping).unwrap().to_dense(), &exact);
+        }
+        let float = chain.solve_gauss_seidel().unwrap();
+        let n = chain.len();
+        // Transient states are 0..n-2, so state id and transient rank
+        // coincide here.
+        for (s, row) in exact.iter().enumerate().take(n - 2) {
+            for (col, &a) in [n - 2, n - 1].iter().enumerate() {
+                let e = row[col].to_f64();
+                let f = float.prob(s, a);
+                prop_assert!((e - f).abs() < 1e-8, "s={s} a={a}: {e} vs {f}");
             }
         }
     }
@@ -73,36 +68,8 @@ proptest! {
         }
     }
 
-    /// Sparse LU solves random diagonally dominant systems to machine
-    /// precision (checked via the residual).
-    #[test]
-    fn sparse_lu_residual_is_small(
-        n in 2..12usize,
-        entries in proptest::collection::vec((-10i32..10, 0..144usize), 10..40),
-        rhs in proptest::collection::vec(-5.0f64..5.0, 12),
-    ) {
-        let mut t = Triplets::new(n, n);
-        let mut diag = vec![0.0f64; n];
-        for (v, pos) in entries {
-            let (i, j) = (pos / 12 % n, pos % n);
-            if i != j && v != 0 {
-                t.push(i, j, v as f64 / 10.0);
-                diag[i] += (v as f64 / 10.0).abs();
-            }
-        }
-        for (i, d) in diag.iter().enumerate() {
-            t.push(i, i, d + 1.0); // strict diagonal dominance
-        }
-        let a = t.to_csr();
-        let b = &rhs[..n];
-        let x = SparseLu::factor(&a).unwrap().solve(b);
-        let ax = a.matvec(&x);
-        for (l, r) in ax.iter().zip(b) {
-            prop_assert!((l - r).abs() < 1e-8);
-        }
-    }
-
-    /// Jacobi and Gauss–Seidel agree on substochastic systems.
+    /// Gauss–Seidel agrees with exact back-substitution on substochastic
+    /// forward chains.
     #[test]
     fn iterative_methods_agree(
         n in 2..10usize,
@@ -117,11 +84,14 @@ proptest! {
         }
         let q = t.to_csr();
         let b = vec![1.0; n];
-        let opts = IterativeOptions::default();
-        let xj = jacobi(&q, &b, opts).unwrap();
-        let xg = gauss_seidel(&q, &b, opts).unwrap();
-        for (a, b) in xj.iter().zip(&xg) {
-            prop_assert!((a - b).abs() < 1e-8);
+        let xg = gauss_seidel(&q, &b, IterativeOptions::default()).unwrap();
+        // x_i = 1 + (p_i/10) x_{i+1}, solved from the last state back.
+        let mut next = Ratio::zero();
+        for i in (0..n).rev() {
+            let p = if i + 1 < n { probs[i] as i64 } else { 0 };
+            let exact = &Ratio::one() + &(&Ratio::new(p, 10) * &next);
+            prop_assert!((xg[i] - exact.to_f64()).abs() < 1e-8, "x[{}]", i);
+            next = exact;
         }
     }
 

@@ -1,18 +1,18 @@
 //! Differential tests pinning the structured sparse solver to the exact
 //! dense path.
 //!
-//! `SolverBackend::SparseScc` (SCC condensation + per-component exact
+//! `AbsorbingChain::solve_sparse_scc` (SCC condensation + per-component exact
 //! elimination + optional symmetry lumping) is the production loop solver;
 //! nothing else in the suite would catch it being subtly wrong on chains
 //! with non-trivial structure. These tests generate randomised absorbing
 //! chains — multi-SCC, multi-absorbing-class, with cycles, self-loops and
 //! disconnected regions — and require the sparse solve to agree *exactly*
 //! (`Ratio` equality, not tolerance) with `solve_exact` under every
-//! lumping configuration, and within float tolerance with every other
-//! backend. The partition-refinement engine is differentially pinned
+//! lumping configuration, and within float tolerance with the Gauss–Seidel
+//! approximation. The partition-refinement engine is differentially pinned
 //! against a naive textbook implementation.
 
-use mcnetkat_linalg::{is_lumpable, refine, AbsorbingChain, LinalgError, Partition, SolverBackend};
+use mcnetkat_linalg::{is_lumpable, refine, AbsorbingChain, LinalgError, Partition};
 use mcnetkat_num::Ratio;
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -164,26 +164,22 @@ proptest! {
         prop_assert_eq!(sparse.to_dense(), exact);
     }
 
-    /// SparseScc agrees with every float backend within float tolerance
-    /// (the exact ↔ float direction of the differential matrix).
+    /// The sparse SCC solve (lumping off and on) agrees with the
+    /// Gauss–Seidel float approximation within float tolerance (the
+    /// exact ↔ float direction of the differential matrix).
     #[test]
     fn sparse_scc_within_tolerance_of_float_backends(chain in arb_structured_chain()) {
-        let sparse = chain.solve(SolverBackend::SparseScc).unwrap();
-        for backend in [
-            SolverBackend::SparseLu,
-            SolverBackend::GaussSeidel,
-            SolverBackend::Jacobi,
-            SolverBackend::DenseLu,
-        ] {
-            let float = chain.solve(backend).unwrap();
+        let float = chain.solve_gauss_seidel().unwrap();
+        for lumping in [false, true] {
+            let sparse = chain.solve_sparse_scc(lumping).unwrap();
             prop_assert_eq!(float.absorbing_states(), sparse.absorbing_states());
             for s in 0..chain.len() {
                 for &a in sparse.absorbing_states() {
-                    let e = sparse.prob(s, a);
+                    let e = sparse.prob(s, a).to_f64();
                     let f = float.prob(s, a);
                     prop_assert!(
                         (e - f).abs() < 1e-8,
-                        "{:?} s={} a={}: {} vs {}", backend, s, a, e, f
+                        "lumping={} s={} a={}: {} vs {}", lumping, s, a, e, f
                     );
                 }
             }

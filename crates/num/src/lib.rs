@@ -1,8 +1,9 @@
 //! Arbitrary-precision integers and exact rationals.
 //!
 //! McNetKAT's frontend and FDD backend use *exact* rational arithmetic to
-//! preempt numerical-precision concerns (§5 of the paper); only the final
-//! sparse linear solve runs on 64-bit floats. The OCaml implementation
+//! preempt numerical-precision concerns (§5 of the paper); here the
+//! `while`-loop linear solve is exact too, where the paper's ran on
+//! 64-bit floats. The OCaml implementation
 //! leaned on Zarith/GMP; this crate is the equivalent substrate, built from
 //! scratch: a sign-magnitude [`BigInt`] over `u32` limbs and a normalised
 //! rational [`Ratio`].

@@ -327,34 +327,6 @@ impl Ratio {
         n.to_f64() / d.to_f64()
     }
 
-    /// Approximates an `f64` by an exact dyadic rational (exact for finite
-    /// floats).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is NaN or infinite.
-    pub fn from_f64(v: f64) -> Ratio {
-        assert!(v.is_finite(), "cannot represent non-finite float exactly");
-        if v == 0.0 {
-            return Ratio::zero();
-        }
-        let bits = v.to_bits();
-        let sign = if bits >> 63 == 1 { -1i64 } else { 1 };
-        let exponent = ((bits >> 52) & 0x7ff) as i64;
-        let mantissa = if exponent == 0 {
-            bits & 0xf_ffff_ffff_ffff
-        } else {
-            (bits & 0xf_ffff_ffff_ffff) | 0x10_0000_0000_0000
-        };
-        let exp2 = exponent.max(1) - 1075;
-        let m = BigInt::from(mantissa) * BigInt::from(sign);
-        if exp2 >= 0 {
-            Ratio::from_bigints(m * BigInt::from(2u64).pow(exp2 as u32), BigInt::one())
-        } else {
-            Ratio::from_bigints(m, BigInt::from(2u64).pow((-exp2) as u32))
-        }
-    }
-
     /// Raises to a small integer power.
     pub fn pow(&self, exp: u32) -> Ratio {
         if let Repr::Small(n, d) = self.repr {
@@ -665,12 +637,12 @@ mod tests {
 
     #[test]
     fn f64_round_trips() {
-        for v in [0.0, 0.5, 0.25, -0.75, 1.0, 0.001, 1.0 / 3.0] {
-            let r = Ratio::from_f64(v);
+        // f64 → shortest decimal → exact Ratio → f64 is the identity.
+        for v in [0.0, 0.5, 0.25, -0.75, 1.0, 0.001, 0.2, 1.0 / 3.0] {
+            let r: Ratio = format!("{v}").parse().unwrap();
             assert_eq!(r.to_f64(), v, "round trip {v}");
         }
-        assert_eq!(Ratio::from_f64(0.5), Ratio::new(1, 2));
-        assert_eq!(Ratio::from_f64(0.2).to_f64(), 0.2);
+        assert_eq!("0.5".parse::<Ratio>().unwrap(), Ratio::new(1, 2));
     }
 
     #[test]

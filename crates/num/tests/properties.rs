@@ -108,11 +108,6 @@ proptest! {
         let s = a.to_string();
         prop_assert_eq!(s.parse::<Ratio>().unwrap(), a);
     }
-
-    #[test]
-    fn from_f64_exact(v in -1.0e9..1.0e9f64) {
-        prop_assert_eq!(Ratio::from_f64(v).to_f64(), v);
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@
 
 use crate::Automaton;
 use mcnetkat_core::{Packet, Pred};
-use mcnetkat_linalg::{AbsorbingChain, SolverBackend};
+use mcnetkat_linalg::AbsorbingChain;
 use mcnetkat_num::Ratio;
 use std::collections::HashMap;
 
@@ -171,9 +171,7 @@ pub fn check_reachability(
             })
         }
         McMode::Approx => {
-            let sol = chain
-                .solve(SolverBackend::GaussSeidel)
-                .map_err(|e| e.to_string())?;
+            let sol = chain.solve_gauss_seidel().map_err(|e| e.to_string())?;
             let total: f64 = accepting.iter().map(|&a| sol.prob(start, a)).sum();
             Ok(McResult {
                 probability: total,

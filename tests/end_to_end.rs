@@ -62,7 +62,7 @@ fn f10_resilience_table_diagonal() {
         );
         let q = Queries::new(&mgr, &m).unwrap();
         assert!(
-            q.equiv_teleport_within(1e-9).unwrap(),
+            q.equiv_teleport().unwrap(),
             "{} should be {}-resilient",
             scheme.name(),
             resilience
@@ -76,7 +76,7 @@ fn f10_resilience_table_diagonal() {
         );
         let q = Queries::new(&mgr, &m).unwrap();
         assert!(
-            !q.equiv_teleport_within(1e-9).unwrap(),
+            !q.equiv_teleport().unwrap(),
             "{} should not be {}-resilient",
             scheme.name(),
             resilience + 1
