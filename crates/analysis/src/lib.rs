@@ -173,11 +173,6 @@ impl LintReport {
         self.diagnostics.is_empty()
     }
 
-    /// Whether any finding is an [`Severity::Error`].
-    pub fn has_errors(&self) -> bool {
-        self.errors().next().is_some()
-    }
-
     /// The error-severity findings.
     pub fn errors(&self) -> impl Iterator<Item = &Diagnostic> {
         self.diagnostics

@@ -277,27 +277,10 @@ fn report_opcache_rates() {
     };
     println!("\nop-cache hit rates ({path}):");
     let mut table = Table::new(&["cache", "hit rate"]);
-    let mut dense_fallbacks = 0u64;
     for (name, rate) in &rates {
-        // The solver fallback counters ride in the same dump as raw
-        // counts, not percentages (see perf_profile).
-        if name.ends_with("/fallback_retries") || name.ends_with("/dense_fallbacks") {
-            table.row(vec![name.clone(), format!("{rate:.0}")]);
-            if name.ends_with("/dense_fallbacks") {
-                dense_fallbacks += *rate as u64;
-            }
-            continue;
-        }
         table.row(vec![name.clone(), format!("{rate:.1}%")]);
     }
     table.print();
-    if dense_fallbacks > 0 {
-        eprintln!(
-            "\nwarning: {dense_fallbacks} loop solve(s) fell back to the dense \
-             exact reference — the sparse SCC solver is silently degrading \
-             (see `Manager::solve_report()` for the event log)"
-        );
-    }
 }
 
 /// Diffs the `serve_bench` dump against its checked-in baseline, when

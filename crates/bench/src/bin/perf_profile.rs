@@ -110,8 +110,7 @@ fn main() {
         ]);
 
         // Loop-solver gauges: how much of the while-loop chains the
-        // symmetry quotient and SCC condensation actually removed — and
-        // whether any solve degraded down the fallback chain.
+        // symmetry quotient and SCC condensation actually removed.
         let ls = mgr.loop_solve_stats();
         solve_rows.push(vec![
             format!("fattree({p})"),
@@ -128,21 +127,7 @@ fn main() {
             } else {
                 "—".into()
             },
-            ls.fallback_retries.to_string(),
-            ls.dense_fallbacks.to_string(),
         ]);
-
-        // Fallback counters ride in the op-cache dump as raw counts, so a
-        // silent dense fallback shows up in BENCH_opcache.json (and trips
-        // bench_compare's warning) instead of hiding as a slow success.
-        rates.push((
-            format!("fattree{p}/fallback_retries"),
-            ls.fallback_retries as f64,
-        ));
-        rates.push((
-            format!("fattree{p}/dense_fallbacks"),
-            ls.dense_fallbacks as f64,
-        ));
 
         for c in mgr.op_cache_stats().caches {
             if c.lookups() == 0 {
@@ -172,8 +157,6 @@ fn main() {
         "SCCs",
         "max transient",
         "collapse",
-        "retries",
-        "dense",
     ]);
     for row in solve_rows {
         solves.row(row);
@@ -192,10 +175,9 @@ fn main() {
     dump_rates(&rates);
 }
 
-/// Writes the hit rates (percent) and solver-fallback counters (raw
-/// counts) as flat JSON (`{"label": number, …}`), the same shape as the
-/// criterion shim's `BENCH_results.json`, so `bench_compare` can parse it
-/// with the machinery it already has.
+/// Writes the hit rates (percent) as flat JSON (`{"label": number, …}`),
+/// the same shape as the criterion shim's `BENCH_results.json`, so
+/// `bench_compare` can parse it with the machinery it already has.
 fn dump_rates(rates: &[(String, f64)]) {
     // Keep every benchmark artifact under `crates/bench/` when running
     // from the workspace root; fall back to the CWD elsewhere.

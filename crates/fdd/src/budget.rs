@@ -153,13 +153,6 @@ impl Budget {
         self
     }
 
-    /// Sets an absolute deadline.
-    #[must_use]
-    pub fn with_deadline_at(mut self, at: Instant) -> Budget {
-        self.deadline = Some(at);
-        self
-    }
-
     /// Attaches a cancellation token.
     #[must_use]
     pub fn with_cancel(mut self, token: CancelToken) -> Budget {

@@ -3,29 +3,24 @@
 //! Only compiled under the `failpoints` feature (asserted off in release
 //! benches, mirroring [`crate::AUDIT_ENABLED`]). The compiler registers
 //! *named sites* at the seams where real-world failures strike — loop-state
-//! interning, the lumping partition, the structured solver, parallel
-//! compile workers — and a test arms a site with a
-//! [`FaultAction`] that fires deterministically on the Nth hit:
+//! interning, the loop solve, parallel compile workers — and a test arms a
+//! site with a [`FaultAction`] that fires deterministically on the Nth hit:
 //!
 //! ```text
 //! site                     seam                              sensible actions
 //! fdd::intern              loop-state interning              Panic, Delay, Cancel
-//! fdd::loops::solve        any sparse solver rung            Singular, Panic, Delay, Cancel
-//! linalg::lump             the lumping partition rung        Singular, Panic, Delay, Cancel
+//! fdd::loops::solve        the loop's absorbing-chain solve  Singular, Panic, Delay, Cancel
 //! net::parallel::worker    per-switch parallel worker loop   Panic, Delay, Cancel
 //! serve::journal::append   write-ahead journal append        Singular (= torn write), Cancel, Panic, Delay
 //! serve::apply::patch      per-switch patch closure          Singular, Panic, Delay, Cancel
 //! serve::apply::assemble   post-patch model assembly         Singular, Panic, Delay, Cancel
 //! ```
 //!
-//! (`linalg::lump` is a *logical* name: the registry lives here because
-//! `mcnetkat-linalg` sits below this crate, so `fdd::loops` checks the
-//! site just before entering the lumped solver rung. The `serve::*`
-//! sites are registered by `mcnetkat-serve`, which sits above; at
-//! `serve::journal::append`, `Singular` is repurposed to simulate a
-//! *torn write* — a strict prefix of the record reaches the file and
-//! the writer poisons itself — so recovery's truncation rule can be
-//! exercised deterministically.)
+//! (The `serve::*` sites are registered by `mcnetkat-serve`, which sits
+//! above this crate. At `serve::journal::append`, `Singular` is
+//! repurposed to simulate a *torn write* — a strict prefix of the record
+//! reaches the file and the writer poisons itself — so recovery's
+//! truncation rule can be exercised deterministically.)
 //!
 //! The registry is process-global, so tests that arm faults must
 //! serialize (the harness uses a static mutex) and clear the registry
@@ -40,9 +35,10 @@ use std::time::Duration;
 pub enum FaultAction {
     /// Panic with this message — exercises panic containment.
     Panic(String),
-    /// Report a singular linear system — exercises the solver fallback
-    /// chain. Only meaningful at solver sites; elsewhere it surfaces as
-    /// the site's generic injected failure.
+    /// Report a singular linear system — exercises the typed
+    /// [`crate::CompileError::Solver`] path. Only meaningful at solver
+    /// sites; elsewhere it surfaces as the site's generic injected
+    /// failure.
     Singular,
     /// Sleep this long before continuing — exercises deadline budgets.
     Delay(Duration),
@@ -65,8 +61,7 @@ struct Site {
     action: FaultAction,
     /// 1-based hit count on which the fault first fires.
     trigger_at: u64,
-    /// How many consecutive hits fire, starting at `trigger_at`. Lets a
-    /// test fail *both* retries of a fallback rung to force the next one.
+    /// How many consecutive hits fire, starting at `trigger_at`.
     times: u64,
     hits: u64,
     fired: u64,

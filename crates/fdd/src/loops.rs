@@ -14,7 +14,7 @@
 //! values plus a wildcard; exploration then closes the set under the body's
 //! modifications.
 
-use crate::{Action, ActionDist, Budget, CompileError, CompileOptions, Fdd, Manager, SymPkt};
+use crate::{Action, ActionDist, CompileError, CompileOptions, Fdd, Manager, SymPkt};
 use mcnetkat_core::{Field, Value};
 use mcnetkat_linalg::{AbsorbingChain, LinalgError};
 use mcnetkat_num::Ratio;
@@ -23,153 +23,24 @@ use std::collections::HashMap;
 /// Index of the distinguished `∅` (dropped) state.
 const DROP_STATE: usize = 0;
 
-/// Polls a named failpoint, translating an injected fault either into a
-/// solver error (which joins the fallback chain like a real one) or a
-/// budget-style abort (which propagates). Compiles to `Ok(None)` without
-/// the `failpoints` feature.
-fn rung_failpoint(site: &str) -> Result<Option<LinalgError>, CompileError> {
+/// Polls a named failpoint, translating an injected fault into the
+/// typed error a real one would raise: a singular solve or a
+/// cancellation. Compiles to `Ok(())` without the `failpoints` feature.
+fn failpoint(site: &str) -> Result<(), CompileError> {
     #[cfg(feature = "failpoints")]
     {
         use crate::failpoints::{check, InjectedFault};
         match check(site) {
-            None => Ok(None),
-            Some(InjectedFault::Singular) => Ok(Some(LinalgError::Singular(0))),
+            None => Ok(()),
+            Some(InjectedFault::Singular) => Err(CompileError::Solver(LinalgError::Singular(0))),
             Some(InjectedFault::Cancelled) => Err(CompileError::Cancelled),
         }
     }
     #[cfg(not(feature = "failpoints"))]
     {
         let _ = site;
-        Ok(None)
+        Ok(())
     }
-}
-
-/// The outcome of one successful absorbing-chain solve, whichever rung
-/// produced it: sparse absorption rows indexed by transient rank, plus
-/// the structure gauges for [`crate::LoopSolveStats`].
-struct SolveOutcome {
-    rows: Vec<Vec<(usize, Ratio)>>,
-    blocks: usize,
-    sccs: usize,
-}
-
-/// Converts dense `transient rank × absorbing rank` exact rows into the
-/// sparse form the rest of the pipeline consumes.
-fn sparsify(dense: Vec<Vec<Ratio>>) -> Vec<Vec<(usize, Ratio)>> {
-    dense
-        .into_iter()
-        .map(|row| {
-            row.into_iter()
-                .enumerate()
-                .filter(|(_, p)| !p.is_zero())
-                .collect()
-        })
-        .collect()
-}
-
-/// One sparse-SCC solver rung. The outer `Result` carries budget aborts
-/// (propagate immediately); the inner one carries solver failures (the
-/// fallback chain decides what happens next).
-fn sparse_rung(
-    chain: &AbsorbingChain,
-    nt: usize,
-    lumping: bool,
-    budget: &Budget,
-) -> Result<Result<SolveOutcome, LinalgError>, CompileError> {
-    if let Some(e) = rung_failpoint("fdd::loops::solve")? {
-        return Ok(Err(e));
-    }
-    if lumping {
-        // `linalg::lump` is a logical site name: the registry lives in
-        // this crate (linalg sits below it), so the lumped rung's fault
-        // is injected here, just before the partition refinement runs.
-        if let Some(e) = rung_failpoint("linalg::lump")? {
-            return Ok(Err(e));
-        }
-    }
-    let mut stop = || budget.check_external().is_err();
-    match chain.solve_sparse_scc_interruptible(lumping, &mut stop) {
-        Ok(sol) => Ok(Ok(SolveOutcome {
-            rows: (0..nt).map(|t| sol.sparse_row(t).to_vec()).collect(),
-            blocks: sol.lumped_blocks(),
-            sccs: sol.scc_count(),
-        })),
-        // The solver stopped because our budget check fired: re-evaluate
-        // the budget for the typed error. Deadlines stay expired and
-        // tokens stay cancelled, so the fallback arm is unreachable.
-        Err(LinalgError::Interrupted) => Err(budget
-            .check_external()
-            .err()
-            .unwrap_or(CompileError::DeadlineExceeded)),
-        Err(e) => Ok(Err(e)),
-    }
-}
-
-/// Runs the declarative solver fallback chain: (1) sparse SCC with the
-/// configured lumping, (2) the same solve without lumping, (3) the dense
-/// exact reference. Which rungs are permitted comes from
-/// [`crate::FallbackPolicy`]; every transition is recorded on the
-/// manager's [`crate::SolveReport`]. All three rungs are exact, so a
-/// fallback changes how the answer is computed, never the answer.
-fn solve_with_fallback(
-    mgr: &Manager,
-    chain: &AbsorbingChain,
-    nt: usize,
-    opts: &CompileOptions,
-) -> Result<SolveOutcome, CompileError> {
-    let policy = opts.fallback;
-    let mut events: Vec<String> = Vec::new();
-    let mut retried = false;
-
-    let mut last = match sparse_rung(chain, nt, opts.lumping, &opts.budget)? {
-        Ok(out) => {
-            mgr.record_solve_rungs(false, false, false, events);
-            return Ok(out);
-        }
-        Err(e) => e,
-    };
-    events.push(format!(
-        "sparse SCC solve (lumping={}) failed: {last}",
-        opts.lumping
-    ));
-
-    if opts.lumping && policy.retry_without_lumping {
-        retried = true;
-        match sparse_rung(chain, nt, false, &opts.budget)? {
-            Ok(out) => {
-                events.push("retry without lumping succeeded".to_string());
-                mgr.record_solve_rungs(true, false, false, events);
-                return Ok(out);
-            }
-            Err(e) => {
-                events.push(format!("retry without lumping failed: {e}"));
-                last = e;
-            }
-        }
-    }
-
-    if policy.dense_exact {
-        opts.budget.check_external()?;
-        match chain.solve_exact() {
-            Ok(rows) => {
-                events.push("dense exact reference succeeded".to_string());
-                mgr.record_solve_rungs(retried, true, false, events);
-                return Ok(SolveOutcome {
-                    rows: sparsify(rows),
-                    blocks: nt,
-                    sccs: 0,
-                });
-            }
-            Err(e) => {
-                events.push(format!("dense exact reference failed: {e}"));
-                last = e;
-            }
-        }
-    }
-
-    events.push("fallback chain exhausted".to_string());
-    mgr.record_solve_rungs(retried, policy.dense_exact, true, events);
-    Err(CompileError::Solver(last))
 }
 
 /// Compiles `while guard do body` given compiled guard and body FDDs.
@@ -211,9 +82,7 @@ pub fn compile_while(
                       states: &mut Vec<SymPkt>,
                       worklist: &mut Vec<usize>|
      -> Result<usize, CompileError> {
-        if let Some(e) = rung_failpoint("fdd::intern")? {
-            return Err(CompileError::Solver(e));
-        }
+        failpoint("fdd::intern")?;
         if let Some(&ix) = index.get(&pk) {
             return Ok(ix);
         }
@@ -332,13 +201,27 @@ pub fn compile_while(
     let nt = n - absorbing_ids.len();
 
     // Absorption probabilities as *sparse* exact rows, `(absorbing rank,
-    // probability)` with zero entries never materialised. The solve is
-    // exact at every size (SCC-decomposed back-substitution over
-    // rationals) and degrades through the `FallbackPolicy` rungs instead
-    // of failing outright.
-    let out = solve_with_fallback(mgr, &chain, nt, opts)?;
-    mgr.record_loop_solve(nt, out.blocks, out.sccs);
-    let absorption = out.rows;
+    // probability)` with zero entries never materialised. Step 3 sent
+    // every state that cannot reach absorption to drop, and `Singular`
+    // (a trapped component) is the only way the exact solve can fail, so
+    // a solver error here is a bug or an injected fault: it surfaces as
+    // `CompileError::Solver` rather than being retried another way.
+    failpoint("fdd::loops::solve")?;
+    let mut stop = || budget.check_external().is_err();
+    let absorption = match chain.solve_sparse_scc_interruptible(opts.lumping, &mut stop) {
+        Ok(sol) => sol,
+        // The solver stopped because our budget check fired: re-evaluate
+        // the budget for the typed error. Deadlines stay expired and
+        // tokens stay cancelled, so the default arm is unreachable.
+        Err(LinalgError::Interrupted) => {
+            return Err(budget
+                .check_external()
+                .err()
+                .unwrap_or(CompileError::DeadlineExceeded))
+        }
+        Err(e) => return Err(CompileError::Solver(e)),
+    };
+    mgr.record_loop_solve(nt, absorption.lumped_blocks(), absorption.scc_count());
 
     // 5. Build the leaf distribution for each input class.
     let mut class_dists: HashMap<SymPkt, ActionDist> = HashMap::new();
@@ -354,7 +237,7 @@ pub fn compile_while(
         } else {
             let mut d = ActionDist::zero();
             let mut total = Ratio::zero();
-            for (a_rank, pr) in &absorption[transient_rank[ix]] {
+            for (a_rank, pr) in absorption.sparse_row(transient_rank[ix]) {
                 let a = absorbing_ids[*a_rank];
                 let action = if a == DROP_STATE {
                     Action::Drop

@@ -157,15 +157,13 @@ struct Inner {
     dist_then_cache: Cache<(ActId, DistId), DistId>,
     // Memoised `while`-loop solutions (see `Manager::while_loop`). The key
     // must include every solver-configuration option: `state_limit` bounds
-    // which loops solve at all, `lumping` selects the quotienting strategy
-    // and `fallback` which rungs may produce the rows, so the same (guard,
-    // body) can legitimately succeed under one option set and fail under
-    // another. See `OptsKey` for the full rule.
+    // which loops solve at all and `lumping` selects the quotienting
+    // strategy, so the same (guard, body) can legitimately succeed under
+    // one option set and fail under another. See `OptsKey` for the full
+    // rule.
     while_cache: Cache<(Fdd, Fdd, OptsKey), Fdd>,
     /// Cumulative absorbing-chain solve gauges (see `LoopSolveStats`).
     loop_stats: LoopSolveStats,
-    /// Cumulative solver fallback-rung record (see `SolveReport`).
-    solve_report: SolveReport,
     /// The installed resource governor, present only while a governed
     /// compile is in flight (see `Manager::govern`).
     governor: Option<Governor>,
@@ -215,7 +213,6 @@ impl Default for Inner {
             dist_then_cache: Cache::default(),
             while_cache: Cache::default(),
             loop_stats: LoopSolveStats::default(),
-            solve_report: SolveReport::default(),
             governor: None,
         }
     }
@@ -226,8 +223,7 @@ impl Default for Inner {
 ///
 /// `lumped_blocks < transient_states` measures how much symmetry lumping
 /// collapsed the chains; `sccs` counts components of the condensed
-/// transient graphs (a solve answered by the dense exact fallback counts
-/// each transient state as its own block and reports no SCCs).
+/// transient graphs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LoopSolveStats {
     /// Absorbing chains actually solved.
@@ -240,42 +236,11 @@ pub struct LoopSolveStats {
     pub sccs: u64,
     /// Largest single chain solved (transient states).
     pub max_transient: usize,
-    /// Solves that needed a no-lumping retry (fallback rung 2; see
-    /// [`crate::FallbackPolicy`]).
+    /// Always 0: the loop solve has a single exact path. Kept for the
+    /// benchmark's API until a benchmark change drops `linalg.fallbacks`.
     pub fallback_retries: u64,
-    /// Solves that fell back to the dense exact reference (rung 3).
+    /// Always 0, as [`LoopSolveStats::fallback_retries`].
     pub dense_fallbacks: u64,
-}
-
-/// Cumulative record of which loop-solver fallback rungs fired and why
-/// (see [`crate::FallbackPolicy`] for the rung order).
-///
-/// Returned by [`Manager::solve_report`]; `perf_profile` dumps the
-/// counters into `BENCH_opcache.json` so a silent degradation to the
-/// dense solver shows up in perf artifacts rather than hiding inside a
-/// green timing number.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct SolveReport {
-    /// Solves answered by the first-choice solver, no fallback needed.
-    pub primary: u64,
-    /// Solves that retried without lumping (rung 2) after the lumped
-    /// sparse solve failed.
-    pub lumping_retries: u64,
-    /// Solves that reached the dense exact reference solver (rung 3).
-    pub dense_fallbacks: u64,
-    /// Solves where every rung the policy permitted failed — the error
-    /// the caller saw is the last rung's.
-    pub exhausted: u64,
-    /// Bounded log (most recent solves dropped once full) of why each
-    /// fallback rung fired.
-    pub events: Vec<String>,
-}
-
-impl SolveReport {
-    /// Total solves that degraded past the first-choice solver.
-    pub fn total_fallbacks(&self) -> u64 {
-        self.lumping_retries + self.dense_fallbacks
-    }
 }
 
 /// A scratch field to existentially eliminate from a diagram, together
@@ -763,23 +728,6 @@ impl Manager {
         dom
     }
 
-    /// Number of reachable nodes (a size metric for benchmarks).
-    pub fn reachable_size(&self, p: Fdd) -> usize {
-        let inner = self.inner.lock();
-        let mut seen = std::collections::HashSet::new();
-        let mut stack = vec![p];
-        while let Some(x) = stack.pop() {
-            if !seen.insert(x) {
-                continue;
-            }
-            if let Node::Branch { hi, lo, .. } = inner.nodes[x.0 as usize] {
-                stack.push(hi);
-                stack.push(lo);
-            }
-        }
-        seen.len()
-    }
-
     /// Whether `p` is a predicate diagram: every leaf pass or drop.
     pub fn is_predicate(&self, p: Fdd) -> bool {
         let inner = self.inner.lock();
@@ -858,47 +806,6 @@ impl Manager {
         s.lumped_blocks += blocks as u64;
         s.sccs += sccs as u64;
         s.max_transient = s.max_transient.max(transient);
-    }
-
-    /// Cumulative solver fallback record (see [`SolveReport`]).
-    pub fn solve_report(&self) -> SolveReport {
-        self.inner.lock().solve_report.clone()
-    }
-
-    /// Accumulates one loop solve's fallback outcome into the
-    /// [`SolveReport`] (and mirrors the counters into
-    /// [`LoopSolveStats`]). `events` carries one "why" line per rung that
-    /// fired; the report keeps a bounded number of them.
-    pub(crate) fn record_solve_rungs(
-        &self,
-        retried_without_lumping: bool,
-        fell_back_to_dense: bool,
-        exhausted: bool,
-        events: Vec<String>,
-    ) {
-        const MAX_EVENTS: usize = 32;
-        let mut inner = self.inner.lock();
-        let r = &mut inner.solve_report;
-        if !retried_without_lumping && !fell_back_to_dense && !exhausted {
-            r.primary += 1;
-        }
-        if retried_without_lumping {
-            r.lumping_retries += 1;
-        }
-        if fell_back_to_dense {
-            r.dense_fallbacks += 1;
-        }
-        if exhausted {
-            r.exhausted += 1;
-        }
-        for e in events {
-            if r.events.len() >= MAX_EVENTS {
-                break;
-            }
-            r.events.push(e);
-        }
-        inner.loop_stats.fallback_retries += u64::from(retried_without_lumping);
-        inner.loop_stats.dense_fallbacks += u64::from(fell_back_to_dense);
     }
 
     /// Installs `budget` as this manager's resource governor for the

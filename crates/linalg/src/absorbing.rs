@@ -169,8 +169,7 @@ impl AbsorbingChain {
 
     /// Computes the absorption probabilities exactly, over rationals, with
     /// dense Gaussian elimination over the whole transient set. The
-    /// reference [`AbsorbingChain::solve_sparse_scc`] is tested against,
-    /// and the loop compiler's last fallback rung.
+    /// reference [`AbsorbingChain::solve_sparse_scc`] is tested against.
     ///
     /// # Errors
     ///

@@ -34,16 +34,6 @@ impl RoutingScheme {
             RoutingScheme::F10_3_5 => "F10_3,5",
         }
     }
-
-    /// Whether this scheme reads the `up` flags when choosing ports.
-    pub fn is_failure_aware(&self) -> bool {
-        !matches!(self, RoutingScheme::Ecmp)
-    }
-
-    /// Whether this scheme uses the detour flag `dt`.
-    pub fn uses_detour_flag(&self) -> bool {
-        matches!(self, RoutingScheme::F10_3_5)
-    }
 }
 
 /// A candidate port set with liveness information.

@@ -10,7 +10,7 @@
 #![cfg(feature = "failpoints")]
 
 use mcnetkat_fdd::failpoints::{self, FaultAction};
-use mcnetkat_fdd::{Budget, CompileError, CompileOptions, FallbackPolicy, LinalgError, Manager};
+use mcnetkat_fdd::{Budget, CompileError, CompileOptions, LinalgError, Manager};
 use mcnetkat_net::{
     compile_model_parallel, running_example, FailureModel, NetworkModel, RoutingScheme,
 };
@@ -99,71 +99,22 @@ fn worker_panic_is_contained_and_typed() {
 }
 
 #[test]
-fn singular_solver_degrades_through_lumping_retry() {
+fn injected_singular_surfaces_as_a_typed_solver_error() {
     let _guard = serial();
     failpoints::clear_all();
     let m = model();
     let mgr = Manager::new();
-    // First sparse rung dies; the default policy retries without lumping
-    // and the compile still produces the exact answer.
+    // The loop solve has one exact path and no degradation ladder: a
+    // solver failure is a typed error, never silently retried another way.
     failpoints::configure("fdd::loops::solve", FaultAction::Singular, 1, 1);
-    let fdd = compile_model_parallel(&mgr, &m, WORKERS, &Default::default()).unwrap();
-    assert_eq!(&delivery(&mgr, &m, fdd), reference_prob(&m));
-    let report = mgr.solve_report();
-    assert!(
-        report.lumping_retries >= 1,
-        "expected a recorded lumping retry: {report:?}"
-    );
-    assert_eq!(report.dense_fallbacks, 0);
-    assert_recovers(&mgr, &m);
-}
-
-#[test]
-fn singular_solver_degrades_to_dense_reference() {
-    let _guard = serial();
-    failpoints::clear_all();
-    let m = model();
-    let mgr = Manager::new();
-    // Both sparse rungs die; the dense exact rung rescues the compile.
-    failpoints::configure("fdd::loops::solve", FaultAction::Singular, 1, 2);
-    let fdd = compile_model_parallel(&mgr, &m, WORKERS, &Default::default()).unwrap();
-    assert_eq!(&delivery(&mgr, &m, fdd), reference_prob(&m));
-    let report = mgr.solve_report();
-    assert!(report.dense_fallbacks >= 1, "{report:?}");
-    let stats = mgr.loop_solve_stats();
-    assert!(stats.dense_fallbacks >= 1, "mirrored into LoopSolveStats");
-    assert_recovers(&mgr, &m);
-}
-
-#[test]
-fn lump_site_failure_is_survived_by_the_unlumped_retry() {
-    let _guard = serial();
-    failpoints::clear_all();
-    let m = model();
-    let mgr = Manager::new();
-    failpoints::configure("linalg::lump", FaultAction::Singular, 1, 1);
-    let fdd = compile_model_parallel(&mgr, &m, WORKERS, &Default::default()).unwrap();
-    assert_eq!(&delivery(&mgr, &m, fdd), reference_prob(&m));
-    assert!(mgr.solve_report().lumping_retries >= 1);
-    assert_recovers(&mgr, &m);
-}
-
-#[test]
-fn strict_policy_turns_injected_singular_into_an_error() {
-    let _guard = serial();
-    failpoints::clear_all();
-    let m = model();
-    let mgr = Manager::new();
-    failpoints::configure("fdd::loops::solve", FaultAction::Singular, 1, 3);
-    let opts = CompileOptions {
-        fallback: FallbackPolicy::strict(),
-        ..CompileOptions::default()
-    };
-    match compile_model_parallel(&mgr, &m, WORKERS, &opts) {
+    match compile_model_parallel(&mgr, &m, WORKERS, &Default::default()) {
         Err(CompileError::Solver(LinalgError::Singular(_))) => {}
         other => panic!("expected Solver(Singular), got {other:?}"),
     }
-    assert!(mgr.solve_report().exhausted >= 1);
+    assert_eq!(failpoints::fired("fdd::loops::solve"), 1);
+    // A failed solve is never memoised: the retry must solve afresh.
+    assert_eq!(mgr.while_cache_stats().entries, 0);
+    assert_eq!(mgr.loop_solve_stats().solves, 0);
     assert_recovers(&mgr, &m);
 }
 
@@ -218,12 +169,7 @@ struct Schedule {
 /// storm only arms `Panic` here.
 const PARALLEL_SITES: [&str; 1] = ["net::parallel::worker"];
 /// All sites reachable from the parallel fattree(4) compile.
-const ALL_SITES: [&str; 4] = [
-    "fdd::intern",
-    "fdd::loops::solve",
-    "linalg::lump",
-    "net::parallel::worker",
-];
+const ALL_SITES: [&str; 3] = ["fdd::intern", "fdd::loops::solve", "net::parallel::worker"];
 
 fn arb_schedule() -> impl Strategy<Value = Schedule> {
     (0..4u8, 0..8u8, 1..=6u64, 1..=3u64).prop_map(|(kind, site_sel, nth, times)| match kind {
@@ -272,8 +218,8 @@ proptest! {
         let result = compile_model_parallel(&mgr, &m, WORKERS, &Default::default());
         match result {
             Ok(fdd) => {
-                // Fault never fired, was a pure delay, or the fallback
-                // chain absorbed it — the answer must still be exact.
+                // Fault never fired or was a pure delay — the answer
+                // must still be exact.
                 prop_assert_eq!(&delivery(&mgr, &m, fdd), reference_prob(&m));
             }
             Err(CompileError::WorkerPanicked { .. }) => {
@@ -297,14 +243,14 @@ proptest! {
     /// succeeds, and after clearing, always.
     #[test]
     fn storm_sequential_sec2_example(
-        site_sel in 0..3u8,
+        site_sel in 0..2u8,
         kind in 0..3u8,
         nth in 1..=4u64,
         times in 1..=3u64,
     ) {
         let _guard = serial();
         failpoints::clear_all();
-        let sites = ["fdd::intern", "fdd::loops::solve", "linalg::lump"];
+        let sites = ["fdd::intern", "fdd::loops::solve"];
         let site = sites[site_sel as usize % sites.len()];
         let action = match kind {
             0 => FaultAction::Singular,

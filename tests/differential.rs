@@ -4,7 +4,7 @@
 //! guarded programs.
 
 use mcnetkat::core::{Field, Interp, Packet, Pred, Prog};
-use mcnetkat::fdd::Manager;
+use mcnetkat::fdd::{CompileOptions, Manager};
 use mcnetkat::num::Ratio;
 use proptest::prelude::*;
 
@@ -146,6 +146,43 @@ proptest! {
         let p = mgr.compile(&prog).expect("compiles");
         prop_assert!(mgr.less_eq(mgr.fail(), p));
         prop_assert!(mgr.less_eq(p, p));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Theorem 3.1 for loops: on random `while t do p` (diverging bodies
+    /// included) the closed form always solves, does not depend on
+    /// lumping, and dominates the interpreter's 16-iteration unrolling on
+    /// every output.
+    #[test]
+    fn while_closed_form_dominates_unrolling(
+        t in arb_pred(2),
+        body in arb_prog(3),
+        pk in arb_packet(),
+    ) {
+        let prog = Prog::while_(t, body);
+        let mgr = Manager::new();
+        // (a) The compiler sends every state that cannot reach absorption
+        // to drop before it solves, so no chain it hands the solver is
+        // singular and the default compile never fails.
+        let fdd = mgr.compile(&prog);
+        prop_assert!(fdd.is_ok(), "compile failed: {:?}", fdd.err());
+        let fdd = fdd.unwrap();
+        // (b) Lumping is exact: the unquotiented solve (a separate
+        // while-cache entry) lands on the same hash-consed diagram.
+        let unlumped = CompileOptions { lumping: false, ..CompileOptions::default() };
+        prop_assert_eq!(mgr.compile_with(&prog, &unlumped).unwrap(), fdd);
+        // (c) Every finite unrolling is a lower bound, output by output,
+        // and the closed form is a full distribution (divergence is drop).
+        let closed = mgr.output_dist(fdd, &pk);
+        let total: Ratio = closed.values().cloned().sum();
+        prop_assert_eq!(total, Ratio::one());
+        for (out, r) in Interp::with_budget(16).eval_packet(&prog, &pk).iter() {
+            let exact = closed.get(out).cloned().unwrap_or_else(Ratio::zero);
+            prop_assert!(&exact >= r, "output {:?}: closed form {} < unrolling {}", out, exact, r);
+        }
     }
 }
 
